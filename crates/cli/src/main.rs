@@ -27,16 +27,18 @@ use dbp_core::algorithms::{
 };
 use dbp_core::analysis::analyze_first_fit;
 use dbp_core::bounds;
+use dbp_core::demand::{Demand, VSize};
 use dbp_core::engine::{
     simulate, simulate_probed, simulate_resumed_probed, simulate_validated,
     simulate_validated_probed,
 };
 use dbp_core::instance::Instance;
+use dbp_core::item::Size;
 use dbp_core::metrics::summarize;
 use dbp_core::packer::BinSelector;
-use dbp_core::probe::{Probe, ProbeEvent};
 use dbp_core::ratio::Ratio;
 use dbp_opt::{opt_total, SolveMode};
+use dbp_workloads::vector::{DIM_NAMES, HETERO_DIMS};
 use dbp_workloads::{
     generate, generate_mu_controlled, ArrivalKind, CloudGamingConfig, MuControlledConfig, Scenario,
 };
@@ -278,18 +280,19 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         || args.has("journal")
         || args.has("run-manifest");
     let started = std::time::Instant::now();
+    let mut journal = MaybeJournal::open(args)?;
     let mut probe = (
         (
             (dbp_obs::EventLog::new(), dbp_obs::MetricsProbe::new()),
             dbp_obs::TimeSeriesSampler::new(inst.capacity().raw()),
         ),
-        MaybeJournal::open(args)?,
+        &mut journal.probe,
     );
     // Journaled runs honor SIGINT/SIGTERM: the step loop polls the
     // shutdown latch between bursts and exits early, so the journal seals
     // a clean prefix that `dbp recover --trace` can resume. Validated
     // runs keep the one-shot path — validation needs the complete trace.
-    let interruptible = probe.1.probe.is_some() && !args.has("validate");
+    let interruptible = probe.1.is_some() && !args.has("validate");
     let trace = if interruptible {
         dbp_serve::install_signal_handlers();
         let mut run = dbp_core::engine::EngineRun::new(&inst, &mut *sel, &mut probe);
@@ -319,7 +322,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         })
     };
     let wall = started.elapsed();
-    let (((event_log, metrics_probe), sampler), journal) = probe;
+    let (((event_log, metrics_probe), sampler), _) = probe;
     let Some(trace) = trace else {
         let wal = journal.path.clone();
         let trace_file = args.positional.get(1).cloned().unwrap_or_default();
@@ -401,21 +404,77 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// The `--hetero` selector roster: the dimension-agnostic selectors by
+/// name, refusing the scalar-only ones.
+fn hetero_selector(algo: &str) -> Result<Box<dyn BinSelector<VSize<HETERO_DIMS>>>, String> {
+    dbp_core::algorithms::selector_for(algo).ok_or_else(|| {
+        format!(
+            "--hetero packs with ff, bf, mff or dom (plus -idx variants); '{algo}' is scalar-only"
+        )
+    })
+}
+
+/// One row of the per-dimension ledger table, as `run` and `cluster`
+/// print it under `--hetero`.
+fn dim_line(d: &dbp_core::metrics::DimReport) -> String {
+    format!(
+        "dim {} ({:<3})    : {:.4} utilized, {} demand-ticks, {} wasted",
+        d.dim,
+        DIM_NAMES[d.dim],
+        d.utilization.to_f64(),
+        d.demand_ticks,
+        d.waste_ticks,
+    )
+}
+
+/// Add the per-dimension ledger to `reg` as `dbp_dim_*{dim="gpu|cpu|mem"}`
+/// gauges.
+fn absorb_dim_metrics(reg: &mut dbp_obs::MetricsRegistry, dims: &[dbp_core::metrics::DimReport]) {
+    let clamp = |v: u128| v.min(i64::MAX as u128) as i64;
+    for d in dims {
+        let mut dreg = dbp_obs::MetricsRegistry::new();
+        dreg.gauge_set("dbp_dim_demand_ticks", clamp(d.demand_ticks));
+        dreg.gauge_set("dbp_dim_rented_ticks", clamp(d.rented_ticks));
+        dreg.gauge_set("dbp_dim_waste_ticks", clamp(d.waste_ticks));
+        dreg.gauge_set("dbp_dim_utilization_ppm", clamp(d.utilization_ppm()));
+        reg.absorb_labeled(&dreg, "dim", DIM_NAMES[d.dim]);
+    }
+}
+
+/// Refuse, by name, any of `flags` given alongside `--hetero`: a flag the
+/// vector path would not read is an error, never silently ignored.
+fn refuse_flags(args: &Args, flags: &[&str], why: &str) -> Result<(), String> {
+    match flags.iter().find(|f| args.has(f)) {
+        Some(flag) => Err(format!("--{flag} is not supported with --hetero: {why}")),
+        None => Ok(()),
+    }
+}
+
 /// `dbp run FILE --hetero`: widen the scalar trace to the heterogeneous
 /// `[gpu, cpu, mem]` catalog and pack it as one 3-dimensional vector
 /// instance. Feasibility is the intersection of the per-dimension
 /// constraints; the per-dimension utilization table shows which
 /// dimension actually binds.
 fn cmd_run_hetero(args: &Args, scalar: &Instance, algo: &str) -> Result<(), String> {
-    use dbp_core::demand::{Demand, VSize};
-    use dbp_workloads::vector::{DIM_NAMES, HETERO_DIMS};
+    refuse_flags(
+        args,
+        &[
+            "journal",
+            "fsync",
+            "faults",
+            "trace-events",
+            "timeseries",
+            "run-manifest",
+            "gantt",
+            "svg",
+            "save-trace",
+            "fleet",
+        ],
+        "the vector run reads only --algo, --validate and --metrics; \
+         `dbp cluster --hetero` journals and traces",
+    )?;
     let inst = dbp_workloads::widen(scalar);
-    let mut sel =
-        dbp_core::algorithms::selector_for::<VSize<HETERO_DIMS>>(algo).ok_or_else(|| {
-            format!(
-            "--hetero packs with ff, bf, mff or dom (plus -idx variants); '{algo}' is scalar-only"
-        )
-        })?;
+    let mut sel = hetero_selector(algo)?;
     let started = std::time::Instant::now();
     let trace = if args.has("validate") {
         dbp_core::engine::simulate_validated(&inst, &mut sel)
@@ -432,32 +491,17 @@ fn cmd_run_hetero(args: &Args, scalar: &Instance, algo: &str) -> Result<(), Stri
     println!("total cost     : {busy} bin-ticks");
     println!("bins used      : {}", trace.bins_used());
     println!("max open bins  : {}", trace.max_open_bins());
-    let cap = inst.capacity();
     let peak = dbp_workloads::vector::peak_pressure(&inst);
-    let mut dim_reg = Vec::new();
-    for d in 0..HETERO_DIMS {
-        let demand: u128 = inst
-            .items()
-            .iter()
-            .map(|it| {
-                it.size.component(d) as u128 * (it.departure.raw() - it.arrival.raw()) as u128
-            })
-            .sum();
-        let rented = cap.component(d) as u128 * busy;
-        let waste = rented - demand;
-        let ppm = (demand * 1_000_000).checked_div(rented).unwrap_or(0);
+    let dims = dbp_core::metrics::dim_ledger(&inst, busy);
+    for d in &dims {
         // Peak concurrent demand is fleet-wide; divide by the per-server
         // capacity to express it in servers' worth of this resource.
+        let (num, den) = peak[d.dim];
         println!(
-            "dim {} ({:<3})    : {:.4} utilized, {} demand-ticks, {} wasted, peak {:.1} servers",
-            d,
-            DIM_NAMES[d],
-            ppm as f64 / 1e6,
-            demand,
-            waste,
-            peak[d].0 as f64 / peak[d].1 as f64,
+            "{}, peak {:.1} servers",
+            dim_line(d),
+            num as f64 / den as f64
         );
-        dim_reg.push((demand, rented, waste, ppm));
     }
     println!("wall time      : {:.3} ms", wall.as_secs_f64() * 1e3);
     if let Some(path) = args.str_flag("metrics") {
@@ -465,89 +509,7 @@ fn cmd_run_hetero(args: &Args, scalar: &Instance, algo: &str) -> Result<(), Stri
         let mut reg = dbp_obs::MetricsRegistry::new();
         reg.gauge_set("dbp_bins_used", trace.bins_used() as i64);
         reg.gauge_set("dbp_cost_ticks", clamp(busy));
-        for (d, (demand, rented, waste, ppm)) in dim_reg.iter().enumerate() {
-            let mut dreg = dbp_obs::MetricsRegistry::new();
-            dreg.gauge_set("dbp_dim_demand_ticks", clamp(*demand));
-            dreg.gauge_set("dbp_dim_rented_ticks", clamp(*rented));
-            dreg.gauge_set("dbp_dim_waste_ticks", clamp(*waste));
-            dreg.gauge_set("dbp_dim_utilization_ppm", clamp(*ppm));
-            reg.absorb_labeled(&dreg, "dim", DIM_NAMES[d]);
-        }
-        dbp_obs::export::write_prometheus(std::path::Path::new(path), &reg)
-            .map_err(|e| format!("{path}: {e}"))?;
-        println!("metrics saved to {path}");
-    }
-    Ok(())
-}
-
-/// `dbp cluster FILE --hetero`: route the widened vector instance across
-/// shards with per-dimension load folds and report the exact
-/// per-dimension ledger (conservation is asserted inside
-/// [`dbp_cluster::vector::run_cluster_vec`]).
-fn cmd_cluster_hetero(
-    args: &Args,
-    scalar: &Instance,
-    algo: &str,
-    shards: usize,
-    router: dbp_cluster::Router,
-) -> Result<(), String> {
-    use dbp_core::demand::VSize;
-    use dbp_workloads::vector::{DIM_NAMES, HETERO_DIMS};
-    let inst = dbp_workloads::widen(scalar);
-    dbp_core::algorithms::selector_for::<VSize<HETERO_DIMS>>(algo).ok_or_else(|| {
-        format!(
-            "--hetero packs with ff, bf, mff or dom (plus -idx variants); '{algo}' is scalar-only"
-        )
-    })?;
-    let run = dbp_cluster::vector::run_cluster_vec(&inst, router, shards, || {
-        dbp_core::algorithms::selector_for::<VSize<HETERO_DIMS>>(algo)
-            .expect("algorithm name validated above")
-    });
-    println!(
-        "algorithm      : {} ({HETERO_DIMS}-dimensional)",
-        run.algorithm
-    );
-    println!("router         : {}", run.router);
-    println!("shards         : {}", run.shards_used);
-    println!("sessions       : {}", run.sessions_served);
-    println!("servers rented : {}", run.servers_rented);
-    println!("busy ticks     : {}", run.busy_ticks);
-    println!("ledger         : conserved");
-    for d in &run.dims {
-        println!(
-            "dim {} ({:<3})    : {:.4} utilized, {} demand-ticks, {} wasted",
-            d.dim,
-            DIM_NAMES[d.dim],
-            d.utilization.to_f64(),
-            d.demand_ticks,
-            d.waste_ticks,
-        );
-    }
-    for s in &run.shards {
-        println!(
-            "  shard {:>2}     : {} sessions, {} bins, {} bin-ticks",
-            s.shard,
-            s.back.len(),
-            s.trace.bins_used(),
-            s.trace.total_cost_ticks(),
-        );
-    }
-    if let Some(path) = args.str_flag("metrics") {
-        let clamp = |v: u128| v.min(i64::MAX as u128) as i64;
-        let mut reg = dbp_obs::MetricsRegistry::new();
-        reg.gauge_set("dbp_cluster_servers_rented", run.servers_rented as i64);
-        reg.gauge_set("dbp_cluster_busy_ticks", clamp(run.busy_ticks));
-        for d in &run.dims {
-            let mut dreg = dbp_obs::MetricsRegistry::new();
-            dreg.gauge_set("dbp_dim_demand_ticks", clamp(d.demand_ticks));
-            dreg.gauge_set("dbp_dim_rented_ticks", clamp(d.rented_ticks));
-            dreg.gauge_set("dbp_dim_waste_ticks", clamp(d.waste_ticks));
-            let ppm = (d.demand_ticks * 1_000_000)
-                .checked_div(d.rented_ticks)
-                .unwrap_or(0);
-            dreg.gauge_set("dbp_dim_utilization_ppm", clamp(ppm));
-            reg.absorb_labeled(&dreg, "dim", DIM_NAMES[d.dim]);
-        }
+        absorb_dim_metrics(&mut reg, &dims);
         dbp_obs::export::write_prometheus(std::path::Path::new(path), &reg)
             .map_err(|e| format!("{path}: {e}"))?;
         println!("metrics saved to {path}");
@@ -559,16 +521,10 @@ fn cmd_cluster_hetero(
 /// GPU VMs. Shared by `run --faults` and `recover --faults`, which must
 /// reconstruct the *same* system for deterministic re-execution.
 fn paper_gaming_system(inst: &Instance) -> dbp_cloudsim::GamingSystem {
-    dbp_cloudsim::GamingSystem {
-        server: dbp_cloudsim::ServerType {
-            gpu_capacity: inst.capacity().raw(),
-            ..dbp_cloudsim::ServerType::default_gpu_vm()
-        },
-        granularity: dbp_cloudsim::Granularity::PerTick,
-    }
+    dbp_cloudsim::GamingSystem::per_tick(inst.capacity().raw())
 }
 
-/// Optional write-ahead-journal leg of the run probe: a no-op when
+/// Optional write-ahead-journal leg of the run probe: `None` when
 /// `--journal` is absent, so the probe tuple composes without a separate
 /// code path per flag combination.
 struct MaybeJournal {
@@ -611,14 +567,6 @@ impl MaybeJournal {
     }
 }
 
-impl Probe for MaybeJournal {
-    fn record(&mut self, event: ProbeEvent) {
-        if let Some(probe) = &mut self.probe {
-            probe.record(event);
-        }
-    }
-}
-
 /// Resolve a `--faults` spec: a `.json` file holding a serialized
 /// [`dbp_cloudsim::FaultPlan`], or a bare integer seed expanded with
 /// [`dbp_cloudsim::FaultPlan::from_seed`] over the trace's horizon.
@@ -655,9 +603,10 @@ fn cmd_run_faults(
         || args.has("journal")
         || args.has("run-manifest");
     let started = std::time::Instant::now();
+    let mut journal = MaybeJournal::open(args)?;
     let mut probe = (
         (dbp_obs::EventLog::new(), dbp_obs::MetricsProbe::new()),
-        MaybeJournal::open(args)?,
+        &mut journal.probe,
     );
     let report = if observing {
         resilient.run_probed(inst, sel, &mut probe)
@@ -666,7 +615,7 @@ fn cmd_run_faults(
     }
     .map_err(|e| e.to_string())?;
     let wall = started.elapsed();
-    let ((event_log, metrics_probe), journal) = probe;
+    let ((event_log, metrics_probe), _) = probe;
     journal.finish()?;
     if let Some(path) = args.str_flag("run-manifest") {
         // No packing trace here, so no exact cost: `recover --faults`
@@ -734,9 +683,6 @@ fn static_algo_name(name: &str) -> Option<&'static str> {
     NAMES.into_iter().find(|n| *n == name)
 }
 
-/// One shard's instrumentation leg: event log + metrics + optional journal.
-type ShardProbe = ((dbp_obs::EventLog, dbp_obs::MetricsProbe), MaybeJournal);
-
 /// Parse a `--shard-faults` spec: a bare integer seeds a deterministic
 /// [`ShardFaultPlan`] sized to the instance (about two kills' worth of
 /// events per shard); anything that looks like a file loads an explicit
@@ -771,30 +717,44 @@ fn load_shard_fault_plan(
 /// with `dbp recover`); `--faults` derives one fault plan per shard (seed
 /// plans get `seed + shard`, explicit `.json` plans are shared verbatim);
 /// `--shard-faults` kills whole shards mid-run instead and self-heals them
-/// from their journals (seed or a `ShardFaultPlan` `.json`).
+/// from their journals (seed or a `ShardFaultPlan` `.json`). `--hetero`
+/// widens the trace to the `[gpu, cpu, mem]` catalog and takes the same
+/// plain cluster path at three dimensions; the fault paths stay scalar.
 fn cmd_cluster(args: &Args) -> Result<(), String> {
     let inst = load_instance(args, 1)?;
     let algo = args.str_flag("algo").unwrap_or("ff");
-    let algo = static_algo_name(algo).ok_or_else(|| format!("unknown algorithm '{algo}'"))?;
     let shards = args.u64_flag_or("shards", 2)? as usize;
     if shards == 0 {
         return Err("--shards must be at least 1".into());
     }
     let router = parse_router(args)?;
-    if args.has("hetero") {
-        return cmd_cluster_hetero(args, &inst, algo, shards, router);
-    }
-    let batch = parse_batch(args)?;
     let mut config = dbp_cluster::ClusterConfig::new(shards, router).map_err(|e| e.to_string())?;
-    config.batch = batch;
+    config.batch = parse_batch(args)?;
     config.jobs = args.u64_flag_or("jobs", 0)? as usize;
-    let engine = dbp_cluster::ClusterEngine::new(paper_gaming_system(&inst), config);
 
+    if args.has("hetero") {
+        refuse_flags(
+            args,
+            &["faults", "shard-faults"],
+            "fault injection and self-healing dispatch are scalar-only",
+        )?;
+        let inst = dbp_workloads::widen(&inst);
+        let name = hetero_selector(algo)?.name();
+        let algo = algo.to_string();
+        let factory = dbp_core::packer::GSelectorFactory::new(name, move || {
+            hetero_selector(&algo).expect("algorithm name validated above")
+        });
+        let system = dbp_cloudsim::GamingSystem::per_tick(inst.capacity().component(0));
+        let engine = dbp_cluster::ClusterEngine::new(system, config);
+        return cluster_plain(args, &engine, &inst, &factory);
+    }
+
+    let algo = static_algo_name(algo).ok_or_else(|| format!("unknown algorithm '{algo}'"))?;
+    let engine = dbp_cluster::ClusterEngine::new(paper_gaming_system(&inst), config);
     let hint = mu_hint(&inst);
     selector_by_name(algo, hint)?; // validate (incl. the mff-mu µ hint) up front
-    let algo_name = algo.to_string();
     let factory = dbp_core::packer::SelectorFactory::new(algo, move || {
-        selector_by_name(&algo_name, hint).expect("algorithm name validated above")
+        selector_by_name(algo, hint).expect("algorithm name validated above")
     });
 
     if let Some(spec) = args.str_flag("shard-faults") {
@@ -811,17 +771,19 @@ fn cmd_cluster(args: &Args) -> Result<(), String> {
             );
         }
         let plan = load_shard_fault_plan(spec, shards, &inst)?;
-        let mut probe = (dbp_obs::EventLog::new(), dbp_obs::MetricsProbe::new());
+        let mut probe = (
+            args.has("trace-events").then(dbp_obs::EventLog::new),
+            args.has("metrics").then(dbp_obs::MetricsProbe::new),
+        );
         let run = engine
             .run_self_healing_probed(&inst, &factory, &plan, &mut probe)
             .map_err(|e| e.to_string())?;
-        let (event_log, metrics_probe) = probe;
-        if let Some(path) = args.str_flag("trace-events") {
+        if let (Some(path), (Some(event_log), _)) = (args.str_flag("trace-events"), &probe) {
             dbp_obs::export::write_jsonl(std::path::Path::new(path), event_log.events())
                 .map_err(|e| format!("{path}: {e}"))?;
             println!("events saved to {path} ({} events)", event_log.len());
         }
-        if let Some(path) = args.str_flag("metrics") {
+        if let (Some(path), (_, Some(metrics_probe))) = (args.str_flag("metrics"), &probe) {
             let mut merged = run.metrics();
             merged.absorb_labeled(metrics_probe.registry(), "scope", "cluster");
             dbp_obs::export::write_prometheus(std::path::Path::new(path), &merged)
@@ -881,42 +843,6 @@ fn cmd_cluster(args: &Args) -> Result<(), String> {
         return Ok(());
     }
 
-    // Pre-open every shard's instrumentation so journal I/O errors surface
-    // before any work runs; the pool then takes them by shard index.
-    let journal_base = args.str_flag("journal");
-    if args.has("fsync") && journal_base.is_none() {
-        return Err("--fsync only makes sense with --journal FILE".into());
-    }
-    let fsync = match args.str_flag("fsync") {
-        None => dbp_obs::FsyncPolicy::Always,
-        Some(spec) => dbp_obs::FsyncPolicy::parse(spec).map_err(|e| format!("--fsync: {e}"))?,
-    };
-    let mut shard_probes: Vec<Option<ShardProbe>> = Vec::with_capacity(shards);
-    for s in 0..shards {
-        let journal = match journal_base {
-            Some(base) => {
-                let path = format!("{base}.shard{s}");
-                let probe = dbp_obs::JournalProbe::create(std::path::Path::new(&path), fsync)
-                    .map_err(|e| format!("{path}: {e}"))?;
-                MaybeJournal {
-                    probe: Some(probe),
-                    path,
-                }
-            }
-            None => MaybeJournal {
-                probe: None,
-                path: String::new(),
-            },
-        };
-        shard_probes.push(Some((
-            (dbp_obs::EventLog::new(), dbp_obs::MetricsProbe::new()),
-            journal,
-        )));
-    }
-    let take_probe = |s: usize, probes: &mut Vec<Option<ShardProbe>>| {
-        probes[s].take().expect("each shard probe is taken once")
-    };
-
     let started = std::time::Instant::now();
     if let Some(spec) = args.str_flag("faults") {
         let horizon = dbp_core::events::event_ticks(&inst)
@@ -935,13 +861,14 @@ fn cmd_cluster(args: &Args) -> Result<(), String> {
                     .map(|s| dbp_cloudsim::FaultPlan::from_seed(seed + s, horizon))
                     .collect()
             };
+        let mut pending = open_shard_probes::<Size>(args, shards)?.into_iter();
         let (run, probes) = engine
-            .run_resilient_probed(&inst, &factory, &plans, |s| {
-                take_probe(s, &mut shard_probes)
+            .run_resilient_probed(&inst, &factory, &plans, |_| {
+                pending.next().expect("one probe per shard")
             })
             .map_err(|e| e.to_string())?;
         let wall = started.elapsed();
-        drain_cluster_probes(args, probes, None)?;
+        drain_cluster_probes(args, probes, None, &[])?;
         if let Some(path) = args.str_flag("run-manifest") {
             // No single packing trace under faults, so no exact cost —
             // mirrors `run --faults`.
@@ -978,35 +905,113 @@ fn cmd_cluster(args: &Args) -> Result<(), String> {
         return Ok(());
     }
 
+    cluster_plain(args, &engine, &inst, &factory)
+}
+
+/// One shard's opt-in instrumentation: the event log under
+/// `--trace-events`, the metrics probe under `--metrics`, the journal
+/// under `--journal`; a leg no flag asks for stays `None`.
+type ShardProbe<Sz> = (
+    (
+        Option<dbp_obs::GEventLog<Sz>>,
+        Option<dbp_obs::MetricsProbe>,
+    ),
+    Option<dbp_obs::JournalProbe>,
+);
+
+/// Open every shard's instrumentation up front, so journal I/O errors
+/// surface before any work runs. Journals are `Sz::DIMS`-dimensional:
+/// format v1 for scalar runs, v2 beyond.
+fn open_shard_probes<Sz: Demand>(
+    args: &Args,
+    shards: usize,
+) -> Result<Vec<ShardProbe<Sz>>, String> {
+    let journal_base = args.str_flag("journal");
+    if args.has("fsync") && journal_base.is_none() {
+        return Err("--fsync only makes sense with --journal FILE".into());
+    }
+    let fsync = match args.str_flag("fsync") {
+        None => dbp_obs::FsyncPolicy::Always,
+        Some(spec) => dbp_obs::FsyncPolicy::parse(spec).map_err(|e| format!("--fsync: {e}"))?,
+    };
+    (0..shards)
+        .map(|s| {
+            let journal = match journal_base {
+                Some(base) => {
+                    let path = format!("{base}.shard{s}");
+                    let probe = dbp_obs::JournalProbe::create_dims(
+                        std::path::Path::new(&path),
+                        fsync,
+                        Sz::DIMS,
+                    )
+                    .map_err(|e| format!("{path}: {e}"))?;
+                    Some(probe)
+                }
+                None => None,
+            };
+            let events = args.has("trace-events").then(dbp_obs::GEventLog::new);
+            let metrics = args.has("metrics").then(dbp_obs::MetricsProbe::new);
+            Ok(((events, metrics), journal))
+        })
+        .collect()
+}
+
+/// The plain (fault-free) cluster run at any dimensionality: route,
+/// dispatch on the worker pool, drain the opt-in probes, and print the
+/// exact aggregate. Beyond one dimension the report adds the conserved
+/// ledger and one utilization row per dimension.
+fn cluster_plain<Sz: Demand>(
+    args: &Args,
+    engine: &dbp_cluster::ClusterEngine,
+    inst: &dbp_core::instance::GInstance<Sz>,
+    factory: &dbp_core::packer::GSelectorFactory<Sz>,
+) -> Result<(), String> {
+    let shards = engine.config.shards;
+    let mut pending = open_shard_probes::<Sz>(args, shards)?.into_iter();
     // Journaled cluster runs honor SIGINT/SIGTERM: the shard loops poll
     // the shutdown latch, the run surfaces as Interrupted, and dropping
     // the probes flushes + fsyncs every shard journal on the way out.
+    let journal_base = args.str_flag("journal");
     if journal_base.is_some() {
         dbp_serve::install_signal_handlers();
         dbp_cluster::cancel::set_flag(dbp_serve::global_flag());
     }
-    let (run, probes) =
-        match engine.run_probed(&inst, &factory, |s| take_probe(s, &mut shard_probes)) {
-            Ok(ok) => ok,
-            Err(dbp_cluster::ClusterError::Interrupted) => {
-                println!("interrupted    : stopped by signal; shard journals hold clean prefixes");
-                if let Some(base) = journal_base {
-                    for s in 0..shards {
-                        println!("  shard {s:>2}     : dbp recover {base}.shard{s}");
-                    }
+    let (run, probes) = match engine.run_probed(inst, factory, |_| {
+        pending.next().expect("one probe per shard")
+    }) {
+        Ok(ok) => ok,
+        Err(dbp_cluster::ClusterError::Interrupted) => {
+            println!("interrupted    : stopped by signal; shard journals hold clean prefixes");
+            if let Some(base) = journal_base {
+                for s in 0..shards {
+                    println!("  shard {s:>2}     : dbp recover {base}.shard{s}");
                 }
-                return Ok(());
             }
-            Err(e) => return Err(e.to_string()),
-        };
-    drain_cluster_probes(args, probes, Some(&run))?;
+            return Ok(());
+        }
+        Err(e) => return Err(e.to_string()),
+    };
+    let dims = if Sz::DIMS > 1 {
+        dbp_core::metrics::dim_ledger(inst, run.report.busy_ticks)
+    } else {
+        Vec::new()
+    };
+    drain_cluster_probes(args, probes, Some(&run), &dims)?;
     if let Some(path) = args.str_flag("run-manifest") {
         dbp_obs::export::write_json(std::path::Path::new(path), &run.report.manifest)
             .map_err(|e| format!("{path}: {e}"))?;
         println!("manifest saved to {path}");
     }
     let r = &run.report;
-    println!("algorithm      : {}", r.algorithm);
+    if Sz::DIMS > 1 {
+        println!(
+            "algorithm      : {} ({}-dimensional)",
+            r.algorithm,
+            Sz::DIMS
+        );
+    } else {
+        println!("algorithm      : {}", r.algorithm);
+    }
     println!("router         : {}", r.router);
     println!("shards         : {}", r.shards);
     println!("sessions       : {}", r.sessions_served);
@@ -1019,6 +1024,13 @@ fn cmd_cluster(args: &Args) -> Result<(), String> {
     println!("bill           : {:.2} USD", r.cost_cents.to_f64() / 100.0);
     println!("utilization    : {:.4}", r.utilization.to_f64());
     println!("instance digest: {}", r.manifest.instance_digest);
+    if Sz::DIMS > 1 {
+        // `run_probed` asserted that the shards served every item once.
+        println!("ledger         : conserved");
+        for d in &dims {
+            println!("{}", dim_line(d));
+        }
+    }
     for shard in &run.shards {
         println!(
             "  shard {:>2}     : {} sessions, {} busy ticks, {} servers",
@@ -1033,26 +1045,32 @@ fn cmd_cluster(args: &Args) -> Result<(), String> {
 
 /// Seal every shard journal and write the cluster's `--trace-events` /
 /// `--metrics` artifacts: one JSONL stream per shard (`FILE.jsonl.shardK`)
-/// and a single Prometheus file with `{shard="K"}`-labelled series plus
-/// cluster totals (when the plain run's merged view is available).
-fn drain_cluster_probes(
+/// and a single Prometheus file with `{shard="K"}`-labelled series, cluster
+/// totals (when the plain run's merged view is available) and the
+/// `{dim="…"}`-labelled per-dimension ledger `dims` (empty for scalar runs).
+fn drain_cluster_probes<Sz: Demand>(
     args: &Args,
-    probes: Vec<ShardProbe>,
-    run: Option<&dbp_cluster::ClusterRun>,
+    probes: Vec<ShardProbe<Sz>>,
+    run: Option<&dbp_cluster::ClusterRun<Sz>>,
+    dims: &[dbp_core::metrics::DimReport],
 ) -> Result<(), String> {
     let mut registries = Vec::with_capacity(probes.len());
     for (s, ((event_log, metrics_probe), journal)) in probes.into_iter().enumerate() {
-        journal.finish()?;
-        if let Some(base) = args.str_flag("trace-events") {
+        if let (Some(journal), Some(base)) = (journal, args.str_flag("journal")) {
+            let path = format!("{base}.shard{s}");
+            let records = journal.finish().map_err(|e| format!("{path}: {e}"))?;
+            println!("journal saved to {path} ({records} records)");
+        }
+        if let (Some(event_log), Some(base)) = (event_log, args.str_flag("trace-events")) {
             let path = format!("{base}.shard{s}");
             dbp_obs::export::write_jsonl(std::path::Path::new(&path), event_log.events())
                 .map_err(|e| format!("{path}: {e}"))?;
             println!("events saved to {path} ({} events)", event_log.len());
         }
-        registries.push(metrics_probe.registry().clone());
+        registries.extend(metrics_probe.map(dbp_obs::MetricsProbe::into_registry));
     }
     if let Some(path) = args.str_flag("metrics") {
-        let merged = match run {
+        let mut merged = match run {
             Some(run) => run.metrics(&registries),
             None => {
                 let mut merged = dbp_obs::MetricsRegistry::new();
@@ -1062,6 +1080,7 @@ fn drain_cluster_probes(
                 merged
             }
         };
+        absorb_dim_metrics(&mut merged, dims);
         dbp_obs::export::write_prometheus(std::path::Path::new(path), &merged)
             .map_err(|e| format!("{path}: {e}"))?;
         println!("metrics saved to {path}");

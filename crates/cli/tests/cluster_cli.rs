@@ -297,3 +297,153 @@ fn shard_faults_and_faults_are_mutually_exclusive() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("mutually exclusive"), "{err}");
 }
+
+/// The demand-ticks of dimension `d` on a `dim d ...` report line.
+fn dim_demand_ticks(out: &str, prefix: &str) -> u128 {
+    let line = out
+        .lines()
+        .find(|l| l.starts_with(prefix))
+        .unwrap_or_else(|| panic!("no '{prefix}' line in:\n{out}"));
+    let value = line.split_once(':').unwrap().1;
+    let ticks = value
+        .split(',')
+        .find(|part| part.contains("demand-ticks"))
+        .unwrap_or_else(|| panic!("no demand-ticks on '{line}'"));
+    ticks.split_whitespace().next().unwrap().parse().unwrap()
+}
+
+#[test]
+fn hetero_cluster_journals_replay_the_per_dimension_served_demand() {
+    let dir = tmpdir();
+    let tr = path(&dir, "hetero.json");
+    stdout(&dbp(&[
+        "generate",
+        "scenario",
+        "--name",
+        "launch-day",
+        "--seed",
+        "7",
+        "--out",
+        &tr,
+    ]));
+    let wal = path(&dir, "hetero.wal");
+    let events = path(&dir, "hetero.jsonl");
+    let prom = path(&dir, "hetero.prom");
+    let man = path(&dir, "hetero.manifest.json");
+    let out = stdout(&dbp(&[
+        "cluster",
+        &tr,
+        "--algo",
+        "ff",
+        "--hetero",
+        "--shards",
+        "2",
+        "--journal",
+        &wal,
+        "--fsync",
+        "never",
+        "--trace-events",
+        &events,
+        "--metrics",
+        &prom,
+        "--run-manifest",
+        &man,
+        "--jobs",
+        "2",
+    ]));
+    assert!(out.contains("3-dimensional"), "{out}");
+    assert_eq!(field(&out, "ledger"), "conserved");
+
+    // Every shard journal is a 3-dimensional (v2) journal; the per-dimension
+    // served demand summed over the shards is the cluster's demand volume.
+    let mut served = [0u128; 3];
+    let mut replayed = 0u128;
+    for s in 0..2 {
+        let rec = stdout(&dbp(&["recover", &format!("{wal}.shard{s}")]));
+        assert_eq!(field(&rec, "dimensions"), "3", "{rec}");
+        assert!(
+            field(&rec, "replayed cost").contains("complete run"),
+            "{rec}"
+        );
+        replayed += field(&rec, "replayed cost")
+            .split_whitespace()
+            .next()
+            .unwrap()
+            .parse::<u128>()
+            .unwrap();
+        for (d, slot) in served.iter_mut().enumerate() {
+            *slot += dim_demand_ticks(&rec, &format!("dim {d} served"));
+        }
+        let jsonl = std::fs::read_to_string(format!("{events}.shard{s}")).unwrap();
+        assert!(jsonl.lines().count() > 0, "shard {s} traced no events");
+    }
+    assert_eq!(replayed, field(&out, "busy ticks").parse::<u128>().unwrap());
+    for (d, total) in served.iter().enumerate() {
+        assert_eq!(
+            *total,
+            dim_demand_ticks(&out, &format!("dim {d} (")),
+            "dimension {d}: journals disagree with the cluster report"
+        );
+    }
+
+    let metrics = std::fs::read_to_string(&prom).unwrap();
+    assert!(metrics.contains("dbp_cluster_shards 2"), "{metrics}");
+    assert!(metrics.contains("{shard=\"1\"}"), "{metrics}");
+    for dim in ["gpu", "cpu", "mem"] {
+        assert!(
+            metrics.contains(&format!("dbp_dim_demand_ticks{{dim=\"{dim}\"}}")),
+            "{metrics}"
+        );
+    }
+    let manifest = std::fs::read_to_string(&man).unwrap();
+    assert!(
+        manifest.contains(&format!("\"total_cost_ticks\": {replayed}")),
+        "{manifest}"
+    );
+}
+
+#[test]
+fn hetero_cluster_refuses_the_scalar_fault_paths_by_name() {
+    let dir = tmpdir();
+    let tr = generate(&dir, "heterofaults");
+    for flag in ["--faults", "--shard-faults"] {
+        let out = dbp(&[
+            "cluster", &tr, "--algo", "ff", "--hetero", "--shards", "2", flag, "1",
+        ]);
+        assert!(!out.status.success(), "{flag} was accepted");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("{flag} is not supported with --hetero")),
+            "{err}"
+        );
+    }
+}
+
+#[test]
+fn hetero_run_refuses_every_flag_it_does_not_read() {
+    let dir = tmpdir();
+    let tr = generate(&dir, "heterorun");
+    let file = path(&dir, "heterorun.out");
+    let cases: [&[&str]; 8] = [
+        &["--journal", &file],
+        &["--faults", "1"],
+        &["--trace-events", &file],
+        &["--timeseries", &file],
+        &["--gantt"],
+        &["--svg", &file],
+        &["--save-trace", &file],
+        &["--fleet"],
+    ];
+    for extra in cases {
+        let mut argv = vec!["run", &tr, "--algo", "ff", "--hetero"];
+        argv.extend_from_slice(extra);
+        let out = dbp(&argv);
+        assert!(!out.status.success(), "{} was accepted", extra[0]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("{} is not supported with --hetero", extra[0])),
+            "{err}"
+        );
+    }
+    assert!(!std::path::Path::new(&file).exists());
+}

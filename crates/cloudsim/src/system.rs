@@ -90,6 +90,19 @@ impl GamingSystem {
         }
     }
 
+    /// The paper's per-tick model on the default VM resized to
+    /// `gpu_capacity` units — the system a workload generated against
+    /// that `W` dispatches on.
+    pub fn per_tick(gpu_capacity: u64) -> GamingSystem {
+        GamingSystem {
+            server: ServerType {
+                gpu_capacity,
+                ..ServerType::default_gpu_vm()
+            },
+            granularity: Granularity::PerTick,
+        }
+    }
+
     /// EC2-style hourly billing on the same VM.
     pub fn hourly_model() -> GamingSystem {
         GamingSystem {

@@ -18,15 +18,16 @@ use dbp_cloudsim::{
     billed_ticks, rental_cost_cents, DispatchError, FaultPlan, GamingSystem, ResilientReport,
     ResilientSystem, SystemReport,
 };
+use dbp_core::demand::Demand;
 use dbp_core::engine::EngineRun;
-use dbp_core::instance::Instance;
-use dbp_core::item::ItemId;
-use dbp_core::packer::SelectorFactory;
-use dbp_core::probe::{NoProbe, Probe, ProbeEvent};
+use dbp_core::instance::{GInstance, Instance};
+use dbp_core::item::{ItemId, Size};
+use dbp_core::packer::{BinSelector, GSelectorFactory, SelectorFactory};
+use dbp_core::probe::{GProbeEvent, NoProbe, Probe, ProbeEvent};
 use dbp_core::ratio::Ratio;
 use dbp_core::span::{stage, NoSpans, SpanRecorder};
 use dbp_core::time::Tick;
-use dbp_core::trace::PackingTrace;
+use dbp_core::trace::GPackingTrace;
 use dbp_obs::span::{SpanCollector, DRIVER_LANE};
 use dbp_obs::{MetricsRegistry, RunManifest};
 use serde::{Deserialize, Serialize};
@@ -199,21 +200,23 @@ impl ClusterConfig {
     }
 }
 
-/// One shard's complete outcome.
+/// One shard's complete outcome, at any demand dimensionality.
 #[derive(Debug, Clone)]
-pub struct ShardRun {
+pub struct ShardRun<Sz = Size> {
     /// Shard index in `0..shards`.
     pub shard: usize,
     /// The shard's dispatch report (per-shard manifest attached, its
     /// digest taken over the shard's restricted instance).
     pub report: SystemReport,
     /// The shard's packing trace (item ids are shard-local).
-    pub trace: PackingTrace,
+    pub trace: GPackingTrace<Sz>,
     /// Back-map: shard-local item id index → original [`ItemId`].
     pub back: Vec<ItemId>,
 }
 
-/// Exact aggregate of a cluster run.
+/// Exact aggregate of a cluster run. Costs count whole servers, so they
+/// are the same at every dimensionality; `utilization` reads dimension 0,
+/// the GPU flavor the shard [`GamingSystem`] rents.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClusterReport {
     /// Dispatcher name (every shard runs the same policy).
@@ -247,16 +250,16 @@ pub struct ClusterReport {
 /// A finished cluster run: the aggregate report, every shard's outcome,
 /// and the router's item → shard assignment.
 #[derive(Debug, Clone)]
-pub struct ClusterRun {
+pub struct ClusterRun<Sz = Size> {
     /// Exact aggregate accounting.
     pub report: ClusterReport,
     /// Per-shard outcomes, indexed by shard.
-    pub shards: Vec<ShardRun>,
+    pub shards: Vec<ShardRun<Sz>>,
     /// `assignment[item.index()]` is the shard that served the item.
     pub assignment: Vec<usize>,
 }
 
-impl ClusterRun {
+impl<Sz> ClusterRun<Sz> {
     /// Per-shard metrics with `{shard="N"}`-labelled names plus unlabelled
     /// cluster totals, ready for Prometheus text export. The per-shard
     /// registries fan in via [`MetricsRegistry::absorb_labeled`].
@@ -544,7 +547,11 @@ impl ClusterEngine {
     /// instance + back-map per shard, plus the item → shard assignment.
     /// Restriction preserves arrival order and renumbers densely, so each
     /// shard is a well-formed instance in its own right.
-    pub fn partition(&self, requests: &Instance) -> (Vec<(Instance, Vec<ItemId>)>, Vec<usize>) {
+    #[allow(clippy::type_complexity)]
+    pub fn partition<Sz: Demand>(
+        &self,
+        requests: &GInstance<Sz>,
+    ) -> (Vec<(GInstance<Sz>, Vec<ItemId>)>, Vec<usize>) {
         let assignment = self.config.router.assign(requests, self.config.shards);
         let parts = (0..self.config.shards)
             .map(|s| requests.restrict(|it| assignment[it.id.index()] == s))
@@ -553,11 +560,14 @@ impl ClusterEngine {
     }
 
     /// Run the cluster without instrumentation.
-    pub fn run(
+    ///
+    /// # Errors
+    /// As for [`run_probed`](Self::run_probed).
+    pub fn run<Sz: Demand>(
         &self,
-        requests: &Instance,
-        factory: &SelectorFactory,
-    ) -> Result<ClusterRun, ClusterError> {
+        requests: &GInstance<Sz>,
+        factory: &GSelectorFactory<Sz>,
+    ) -> Result<ClusterRun<Sz>, ClusterError> {
         self.run_probed(requests, factory, |_| NoProbe)
             .map(|(run, _)| run)
     }
@@ -566,20 +576,25 @@ impl ClusterEngine {
     /// called in shard order before the pool starts; the probes come back
     /// in the same order for draining (event logs, journal sealing).
     ///
+    /// Every dimensionality takes this path. The capacity check reads
+    /// dimension 0, and the fan-in asserts the conservation ledger: the
+    /// shard back-maps serve every item exactly once.
+    ///
     /// # Errors
     /// [`ClusterError::Dispatch`] when the workload was generated against
     /// a different `W` than the shard server flavor provides;
     /// [`ClusterError::ZeroShards`] / [`ClusterError::ZeroBatch`] for a
     /// malformed shape; [`ClusterError::ShardPanicked`] when a shard
     /// worker dies (the pool contains the unwind).
-    pub fn run_probed<P, F>(
+    pub fn run_probed<Sz, P, F>(
         &self,
-        requests: &Instance,
-        factory: &SelectorFactory,
+        requests: &GInstance<Sz>,
+        factory: &GSelectorFactory<Sz>,
         make_probe: F,
-    ) -> Result<(ClusterRun, Vec<P>), ClusterError>
+    ) -> Result<(ClusterRun<Sz>, Vec<P>), ClusterError>
     where
-        P: Probe + Send,
+        Sz: Demand,
+        P: Probe<Sz> + Send,
         F: FnMut(usize) -> P,
     {
         self.run_traced(requests, factory, make_probe, |_, _| NoSpans)
@@ -604,15 +619,17 @@ impl ClusterEngine {
     ///
     /// # Errors
     /// As for [`run_probed`](Self::run_probed).
-    pub fn run_traced<P, R, FP, FR>(
+    #[allow(clippy::type_complexity)]
+    pub fn run_traced<Sz, P, R, FP, FR>(
         &self,
-        requests: &Instance,
-        factory: &SelectorFactory,
+        requests: &GInstance<Sz>,
+        factory: &GSelectorFactory<Sz>,
         mut make_probe: FP,
         mut make_spans: FR,
-    ) -> Result<(ClusterRun, Vec<P>, ClusterTrace<R>), ClusterError>
+    ) -> Result<(ClusterRun<Sz>, Vec<P>, ClusterTrace<R>), ClusterError>
     where
-        P: Probe + Send,
+        Sz: Demand,
+        P: Probe<Sz> + Send,
         R: SpanRecorder + Send,
         FP: FnMut(usize) -> P,
         FR: FnMut(usize, Instant) -> R,
@@ -626,13 +643,13 @@ impl ClusterEngine {
         driver.enter(stage::ROUTE);
         let assignment = self.config.router.assign(requests, self.config.shards);
         driver.exit();
-        let parts: Vec<(Instance, Vec<ItemId>)> = (0..self.config.shards)
+        let parts: Vec<(GInstance<Sz>, Vec<ItemId>)> = (0..self.config.shards)
             .map(|s| requests.restrict(|it| assignment[it.id.index()] == s))
             .collect();
         driver.exit();
 
         driver.enter(stage::BATCH_ENQUEUE);
-        let mut units: Vec<(Instance, Vec<ItemId>, P, R)> = parts
+        let mut units: Vec<(GInstance<Sz>, Vec<ItemId>, P, R)> = parts
             .into_iter()
             .enumerate()
             .map(|(s, (inst, back))| (inst, back, make_probe(s), make_spans(s, epoch)))
@@ -705,6 +722,7 @@ impl ClusterEngine {
         }
 
         driver.enter(stage::FAN_IN);
+        assert_served_once(requests.len(), &shards);
         let report = self.aggregate(
             requests,
             &shards,
@@ -1217,10 +1235,13 @@ impl ClusterEngine {
         ))
     }
 
-    fn check_capacity(&self, requests: &Instance) -> Result<(), DispatchError> {
-        if requests.capacity().raw() != self.system.server.gpu_capacity {
+    /// The shard flavor's GPU capacity must be the workload's dimension-0
+    /// capacity (the scalar `W` at one dimension).
+    fn check_capacity<Sz: Demand>(&self, requests: &GInstance<Sz>) -> Result<(), DispatchError> {
+        let gpu = requests.capacity().component(0);
+        if gpu != self.system.server.gpu_capacity {
             return Err(DispatchError::CapacityMismatch {
-                workload: requests.capacity().raw(),
+                workload: gpu,
                 server: self.system.server.gpu_capacity,
             });
         }
@@ -1229,10 +1250,10 @@ impl ClusterEngine {
 
     /// Merge shard reports into the exact aggregate. The manifest capture
     /// (full-stream digest) dominates fan-in cost, so it gets its own span.
-    fn aggregate<R: SpanRecorder>(
+    fn aggregate<Sz: Demand, R: SpanRecorder>(
         &self,
-        requests: &Instance,
-        shards: &[ShardRun],
+        requests: &GInstance<Sz>,
+        shards: &[ShardRun<Sz>],
         wall: std::time::Duration,
         fallback_algorithm: &str,
         spans: &mut R,
@@ -1242,14 +1263,7 @@ impl ClusterEngine {
             .first()
             .map(|s| s.report.algorithm.clone())
             .unwrap_or_else(|| fallback_algorithm.to_string());
-        let utilization = if busy == 0 {
-            Ratio::ZERO
-        } else {
-            Ratio::new(
-                requests.total_demand(),
-                requests.capacity().raw() as u128 * busy,
-            )
-        };
+        let utilization = gpu_utilization(requests, busy);
         spans.enter(stage::MANIFEST_MERGE);
         let manifest = RunManifest::capture(&algorithm, None, requests, wall).with_cost(busy);
         spans.exit();
@@ -1275,20 +1289,55 @@ fn elapsed_ns(epoch: Instant) -> u64 {
     u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
+/// Dimension-0 (GPU) demand over `W_0 ·` busy time — the scalar
+/// utilization at one dimension.
+fn gpu_utilization<Sz: Demand>(requests: &GInstance<Sz>, busy: u128) -> Ratio {
+    if busy == 0 {
+        return Ratio::ZERO;
+    }
+    let demand: u128 = requests
+        .items()
+        .iter()
+        .map(|it| it.size.component(0) as u128 * it.interval_len().0 as u128)
+        .sum();
+    Ratio::new(demand, requests.capacity().component(0) as u128 * busy)
+}
+
+/// The cluster's conservation ledger: the shard back-maps partition the
+/// item ids, so every item was served by exactly one shard.
+///
+/// # Panics
+/// Panics naming the first item routed twice or never dispatched.
+fn assert_served_once<Sz>(items: usize, shards: &[ShardRun<Sz>]) {
+    let mut served = vec![false; items];
+    for shard in shards {
+        for id in &shard.back {
+            assert!(
+                !std::mem::replace(&mut served[id.index()], true),
+                "item {id} routed to two shards"
+            );
+        }
+    }
+    if let Some(missed) = served.iter().position(|&s| !s) {
+        panic!("conservation violated: item {missed} was never dispatched");
+    }
+}
+
 /// One shard's dispatch: the [`GamingSystem::run`] accounting, driven
 /// through [`EngineRun`] in time-ordered bursts so ingestion can batch.
 /// Validation and report construction mirror the plain system run exactly —
 /// a 1-shard cluster must be byte-identical to it.
-pub fn run_shard_probed<S, P>(
+pub fn run_shard_probed<Sz, S, P>(
     system: &GamingSystem,
-    requests: &Instance,
+    requests: &GInstance<Sz>,
     dispatcher: &mut S,
     probe: &mut P,
     batch: BatchPolicy,
-) -> (SystemReport, PackingTrace)
+) -> (SystemReport, GPackingTrace<Sz>)
 where
-    S: dbp_core::packer::BinSelector + ?Sized,
-    P: Probe,
+    Sz: Demand,
+    S: BinSelector<Sz> + ?Sized,
+    P: Probe<Sz>,
 {
     run_shard_traced(system, requests, dispatcher, probe, &mut NoSpans, batch)
 }
@@ -1298,21 +1347,22 @@ where
 /// `departure` spans), and the shard's own validation and report
 /// construction get `validate` / `report_build` spans. With [`NoSpans`]
 /// this compiles down to exactly the probed path.
-pub fn run_shard_traced<S, P, R>(
+pub fn run_shard_traced<Sz, S, P, R>(
     system: &GamingSystem,
-    requests: &Instance,
+    requests: &GInstance<Sz>,
     dispatcher: &mut S,
     probe: &mut P,
     spans: &mut R,
     batch: BatchPolicy,
-) -> (SystemReport, PackingTrace)
+) -> (SystemReport, GPackingTrace<Sz>)
 where
-    S: dbp_core::packer::BinSelector + ?Sized,
-    P: Probe,
+    Sz: Demand,
+    S: BinSelector<Sz> + ?Sized,
+    P: Probe<Sz>,
     R: SpanRecorder,
 {
     assert_eq!(
-        requests.capacity().raw(),
+        requests.capacity().component(0),
         system.server.gpu_capacity,
         "capacity is checked at the cluster boundary"
     );
@@ -1340,7 +1390,7 @@ where
                     utilization: Ratio::ZERO,
                     manifest: None,
                 },
-                PackingTrace {
+                GPackingTrace {
                     algorithm: dispatcher.name().to_string(),
                     capacity: requests.capacity(),
                     bins: Vec::new(),
@@ -1370,7 +1420,7 @@ where
     }
     if P::ENABLED {
         for err in &errs {
-            probe.record(ProbeEvent::Violation {
+            probe.record(GProbeEvent::Violation {
                 at: Tick(0),
                 message: err.clone(),
             });
@@ -1387,14 +1437,7 @@ where
     }
     let wall = started.elapsed();
     let busy = trace.total_cost_ticks();
-    let utilization = if busy == 0 {
-        Ratio::ZERO
-    } else {
-        Ratio::new(
-            requests.total_demand(),
-            requests.capacity().raw() as u128 * busy,
-        )
-    };
+    let utilization = gpu_utilization(requests, busy);
     let report = SystemReport {
         algorithm: trace.algorithm.clone(),
         sessions_served: requests.len(),
@@ -1492,7 +1535,8 @@ where
 mod tests {
     use super::*;
     use dbp_core::algorithms::FirstFit;
-    use dbp_core::instance::InstanceBuilder;
+    use dbp_core::demand::VSize;
+    use dbp_core::instance::{GInstanceBuilder, InstanceBuilder};
     use dbp_workloads::{generate, CloudGamingConfig};
 
     fn workload(seed: u64) -> Instance {
@@ -1898,5 +1942,90 @@ mod tests {
         assert_eq!(faulted.report.busy_ticks, plain.report.busy_ticks);
         assert_eq!(faulted.report.cost_cents, plain.report.cost_cents);
         assert_eq!(faulted.report.sessions_served, inst.len() as u64);
+    }
+
+    fn tiny_scalar() -> Instance {
+        let mut b = InstanceBuilder::new(1000);
+        b.add(0, 10, 5);
+        b.add(0, 10, 5);
+        b.add(5, 20, 7);
+        b.add(12, 30, 9);
+        b.add(13, 22, 50);
+        b.add(14, 40, 125); // matches a catalog footprint (affinity path)
+        b.build().unwrap()
+    }
+
+    fn lift1(inst: &Instance) -> GInstance<VSize<1>> {
+        inst.map_demand(|s| VSize([s.raw()])).unwrap()
+    }
+
+    #[test]
+    fn vector_cluster_run_conserves_and_respects_every_dimension() {
+        let mut b = GInstanceBuilder::new(VSize([100u64, 50]));
+        b.add(0, 10, VSize([30, 20]));
+        b.add(1, 12, VSize([30, 20]));
+        b.add(2, 14, VSize([30, 20])); // dim 1 binds: 60 ≤ 100 but 60 > 50
+        b.add(3, 20, VSize([5, 5]));
+        b.add(15, 25, VSize([99, 1]));
+        let inst = b.build().unwrap();
+        let factory = GSelectorFactory::new("FF", || {
+            Box::new(FirstFit::new()) as Box<dyn BinSelector<VSize<2>>>
+        });
+        for r in Router::ALL {
+            for shards in [1, 2, 3] {
+                let engine = ClusterEngine::new(
+                    GamingSystem::per_tick(100),
+                    ClusterConfig::new(shards, r).unwrap(),
+                );
+                let run = engine.run(&inst, &factory).unwrap();
+                assert_eq!(run.report.sessions_served, inst.len());
+                let dims = dbp_core::metrics::dim_ledger(&inst, run.report.busy_ticks);
+                assert_eq!(dims.len(), 2);
+                for d in &dims {
+                    assert_eq!(
+                        d.rented_ticks,
+                        d.demand_ticks + d.waste_ticks,
+                        "dimension ledger must balance"
+                    );
+                }
+                // Every shard trace must respect every dimension, and the
+                // back-maps must partition the id space.
+                for s in &run.shards {
+                    let (sub, _) = inst.restrict(|it| run.assignment[it.id.index()] == s.shard);
+                    assert_eq!(s.trace.validate(&sub), Vec::<String>::new());
+                }
+                let mut seen: Vec<ItemId> =
+                    run.shards.iter().flat_map(|s| s.back.clone()).collect();
+                seen.sort();
+                seen.dedup();
+                assert_eq!(seen.len(), inst.len());
+                assert_eq!(
+                    crate::vector::run_cluster_vec(&inst, r, shards, FirstFit::new).busy_ticks,
+                    run.report.busy_ticks
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn one_shard_vector_trace_is_the_plain_engine_trace() {
+        // The scalar one-shard trace, pinned before the cluster paths were
+        // unified.
+        const PINNED: &str = r#"{"algorithm":"FF","capacity":1000,"bins":[{"id":0,"tag":0,"opened_at":0,"closed_at":40,"items":[0,1,2,3,4,5]}],"assignment":[0,0,0,0,0,0],"open_bins_steps":[[0,1],[40,0]]}"#;
+        let inst = tiny_scalar();
+        let lifted = lift1(&inst);
+        let factory = GSelectorFactory::new("FF", || {
+            Box::new(FirstFit::new()) as Box<dyn BinSelector<VSize<1>>>
+        });
+        let engine = ClusterEngine::new(
+            GamingSystem::paper_model(),
+            ClusterConfig::new(1, Router::LeastLoaded).unwrap(),
+        );
+        let run = engine.run(&lifted, &factory).unwrap();
+        let scalar_trace = dbp_core::engine::simulate_validated(&inst, &mut FirstFit::new());
+        let a = serde_json::to_string(&run.shards[0].trace).unwrap();
+        let b = serde_json::to_string(&scalar_trace).unwrap();
+        assert_eq!(a, PINNED, "D=1 single-shard trace must match the pin");
+        assert_eq!(b, PINNED, "scalar engine trace must match the pin");
     }
 }

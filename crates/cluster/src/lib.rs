@@ -6,8 +6,11 @@
 //!
 //! * [`Router`] — deterministic routing policies (hash-by-item,
 //!   game-affinity against the `dbp-workloads` catalog, exact-integer
-//!   least-loaded) that partition one request stream into per-shard
-//!   instances via [`Instance::restrict`](dbp_core::instance::Instance::restrict);
+//!   least-loaded over per-dimension loads) that partition one request
+//!   stream into per-shard instances via
+//!   [`GInstance::restrict`](dbp_core::instance::GInstance::restrict), at
+//!   any demand dimensionality; [`route_one_dims`] is the same router
+//!   online, one arrival at a time;
 //! * [`ClusterEngine`] — runs every shard as an independent
 //!   [`GamingSystem`](dbp_cloudsim::GamingSystem)-equivalent dispatch on a
 //!   bounded thread pool, with batched time-ordered ingestion
@@ -58,5 +61,5 @@ pub use engine::{
     ClusterTiming, ClusterTrace, ShardHealthReport, ShardRun,
 };
 pub use faults::{KillPoint, RestartPolicy, ShardFaultPlan, ShardHealth, ShardKill};
-pub use router::Router;
-pub use vector::{assign_vec, route_one_dims, route_one_vec, run_cluster_vec, VectorClusterRun};
+pub use router::{route_one_dims, Router};
+pub use vector::{assign_vec, run_cluster_vec};

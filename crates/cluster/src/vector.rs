@@ -1,144 +1,27 @@
-//! Vector (multi-resource) cluster routing and dispatch.
+//! Vector (multi-resource) entry points, kept as names over the one
+//! `Demand`-generic cluster path.
 //!
-//! The scalar [`Router`] folds each shard's active load into a single
-//! `u128`. With `D`-dimensional demands there is no single load number:
-//! this module keeps one `u128` per dimension per shard and orders shards
-//! by `(max-dimension load, total load, index)`. At `D = 1` the max and
-//! the total are both the scalar load, so every comparison — and therefore
-//! every routing decision — degenerates to the scalar router's exactly.
-//!
-//! The same degeneracy holds per policy:
-//!
-//! * **hash** looks only at the item id — identical by construction;
-//! * **affinity** keys on the GPU dimension (`component(0)`), which at
-//!   `D = 1` *is* the scalar size;
-//! * **least-loaded** compares `(max, total)` pairs that collapse to the
-//!   scalar load at `D = 1`.
-//!
-//! [`run_cluster_vec`] then dispatches each shard's restricted
-//! sub-instance through the generic engine and folds the results into a
-//! per-dimension utilization/waste report with a conservation ledger.
+//! [`Router::assign`] and [`ClusterEngine`] are generic over the demand
+//! type, so a `D`-dimensional instance routes and dispatches exactly like
+//! a scalar one: least-loaded orders shards by `(max-dimension load,
+//! total load, index)`, which at `D = 1` is the scalar load, and every
+//! other policy reads the item id or the GPU dimension (`component(0)`).
+//! This module re-exports the online router over per-dimension load views
+//! and keeps two delegating shorthands for callers written against the
+//! earlier vector API.
 
+use crate::engine::{ClusterConfig, ClusterEngine, ClusterReport};
 use crate::router::Router;
+use dbp_cloudsim::GamingSystem;
 use dbp_core::demand::Demand;
 use dbp_core::instance::GInstance;
-use dbp_core::item::{GItem, ItemId};
-use dbp_core::packer::BinSelector;
-use dbp_core::ratio::Ratio;
-use dbp_core::trace::GPackingTrace;
-use std::collections::BinaryHeap;
-use std::collections::HashMap;
+use dbp_core::packer::{BinSelector, GSelectorFactory};
 
-/// SplitMix64 finalizer, identical to the scalar router's.
-fn splitmix64(v: u64) -> u64 {
-    let mut z = v.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+pub use crate::router::{
+    apply_route_dims, route_one_dims, unapply_route_dims, zero_loads, DimLoads,
+};
 
-/// First catalog index per GPU footprint (the scalar router's lookup).
-fn title_by_gpu_units() -> HashMap<u64, usize> {
-    let mut map = HashMap::new();
-    for (i, g) in dbp_workloads::GameCatalog::default_catalog()
-        .games
-        .iter()
-        .enumerate()
-    {
-        map.entry(g.gpu_units).or_insert(i);
-    }
-    map
-}
-
-/// Per-shard, per-dimension active load: `loads[shard][dim]`.
-pub type DimLoads = Vec<Vec<u128>>;
-
-/// Fresh all-zero load view for `shards` shards of `dims` dimensions.
-pub fn zero_loads(shards: usize, dims: usize) -> DimLoads {
-    vec![vec![0u128; dims]; shards]
-}
-
-/// The least-loaded ordering key for one shard's per-dimension loads:
-/// `(max over dimensions, sum over dimensions)`. At `D = 1` both entries
-/// equal the scalar load, so the induced order (lowest index breaking
-/// ties, via `min_by_key` stability) matches the scalar router's.
-fn load_key(dims: &[u128]) -> (u128, u128) {
-    let max = dims.iter().copied().max().unwrap_or(0);
-    let total: u128 = dims.iter().sum();
-    (max, total)
-}
-
-/// Route one arrival online with a runtime-dimensional demand slice — the
-/// shape the serve daemon's front door needs, where the dimensionality is
-/// a config value, not a type. `demand[0]` is the GPU footprint the
-/// affinity router keys on; `loads` is consulted only by
-/// [`Router::LeastLoaded`].
-///
-/// # Panics
-/// Panics if `loads` or `demand` is empty.
-pub fn route_one_dims(router: Router, id: u64, demand: &[u64], loads: &DimLoads) -> usize {
-    let shards = loads.len();
-    assert!(shards > 0, "a cluster needs at least one shard");
-    assert!(!demand.is_empty(), "a demand needs at least one dimension");
-    match router {
-        Router::HashByItem => (splitmix64(id) % shards as u64) as usize,
-        Router::GameAffinity => {
-            static BY_SIZE: std::sync::OnceLock<HashMap<u64, usize>> = std::sync::OnceLock::new();
-            match BY_SIZE.get_or_init(title_by_gpu_units).get(&demand[0]) {
-                Some(&title) => title % shards,
-                None => (splitmix64(id) % shards as u64) as usize,
-            }
-        }
-        Router::LeastLoaded => (0..shards)
-            .min_by_key(|&s| load_key(&loads[s]))
-            .expect("shards is nonzero"),
-    }
-}
-
-/// Route one arrival online with vector demands. Mirrors
-/// [`Router::route_one`] exactly; `loads` is consulted only by
-/// [`Router::LeastLoaded`].
-///
-/// # Panics
-/// Panics if `loads` is empty.
-pub fn route_one_vec<Sz: Demand>(router: Router, id: u64, size: &Sz, loads: &DimLoads) -> usize {
-    route_one_dims(router, id, &size.components(), loads)
-}
-
-/// Add a routed arrival's demand to the load view (call on route).
-pub fn apply_route<Sz: Demand>(loads: &mut DimLoads, shard: usize, size: &Sz) {
-    for (d, slot) in loads[shard].iter_mut().enumerate() {
-        *slot += size.component(d) as u128;
-    }
-}
-
-/// Remove a departed (or refused) session's demand from the load view.
-pub fn unapply_route<Sz: Demand>(loads: &mut DimLoads, shard: usize, size: &Sz) {
-    for (d, slot) in loads[shard].iter_mut().enumerate() {
-        *slot -= size.component(d) as u128;
-    }
-}
-
-/// Slice variants of [`apply_route`]/[`unapply_route`] for runtime-dims
-/// callers. Components past the load view's dimensionality are ignored;
-/// removal saturates (a refused route can race a concurrent view rebuild).
-pub fn apply_route_dims(loads: &mut DimLoads, shard: usize, demand: &[u64]) {
-    for (slot, &d) in loads[shard].iter_mut().zip(demand) {
-        *slot += d as u128;
-    }
-}
-
-/// See [`apply_route_dims`].
-pub fn unapply_route_dims(loads: &mut DimLoads, shard: usize, demand: &[u64]) {
-    for (slot, &d) in loads[shard].iter_mut().zip(demand) {
-        *slot = slot.saturating_sub(d as u128);
-    }
-}
-
-/// Assign every item of `requests` to a shard, vector-aware. Mirrors
-/// [`Router::assign`]: hash and affinity are per-item pure functions;
-/// least-loaded folds [`route_one_vec`] over the stream in
-/// `(arrival, id)` order with departures expired first.
+/// [`Router::assign`] under its vector-era name.
 ///
 /// # Panics
 /// Panics if `shards` is zero.
@@ -147,286 +30,35 @@ pub fn assign_vec<Sz: Demand>(
     requests: &GInstance<Sz>,
     shards: usize,
 ) -> Vec<usize> {
-    assert!(shards > 0, "a cluster needs at least one shard");
-    match router {
-        Router::HashByItem | Router::GameAffinity => {
-            let loads = zero_loads(shards, Sz::DIMS);
-            requests
-                .items()
-                .iter()
-                .map(|it| route_one_vec(router, it.id.0 as u64, &it.size, &loads))
-                .collect()
-        }
-        Router::LeastLoaded => {
-            let mut order: Vec<&GItem<Sz>> = requests.items().iter().collect();
-            order.sort_by_key(|it| (it.arrival.raw(), it.id.0));
-            let mut loads = zero_loads(shards, Sz::DIMS);
-            // Min-heap of (departure, shard, item index) via Reverse.
-            let mut active: BinaryHeap<std::cmp::Reverse<(u64, usize, u32)>> = BinaryHeap::new();
-            let mut assignment = vec![0usize; requests.len()];
-            for it in order {
-                while let Some(&std::cmp::Reverse((dep, shard, idx))) = active.peek() {
-                    if dep > it.arrival.raw() {
-                        break;
-                    }
-                    active.pop();
-                    let size = requests.items()[idx as usize].size;
-                    unapply_route(&mut loads, shard, &size);
-                }
-                let best = route_one_vec(router, it.id.0 as u64, &it.size, &loads);
-                apply_route(&mut loads, best, &it.size);
-                active.push(std::cmp::Reverse((it.departure.raw(), best, it.id.0)));
-                assignment[it.id.index()] = best;
-            }
-            assignment
-        }
-    }
+    router.assign(requests, shards)
 }
 
-/// One shard's vector outcome.
-#[derive(Debug, Clone)]
-pub struct VectorShardRun<Sz> {
-    /// Shard index.
-    pub shard: usize,
-    /// The shard's packing trace (item ids are shard-local).
-    pub trace: GPackingTrace<Sz>,
-    /// Shard-local item index → original [`ItemId`].
-    pub back: Vec<ItemId>,
-}
-
-/// Per-dimension accounting of one cluster run. All sums are exact
-/// integers; ratios are exact rationals.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DimReport {
-    /// Dimension index.
-    pub dim: usize,
-    /// Capacity `W_d` of this dimension.
-    pub capacity: u64,
-    /// Σ over items of `size_d · duration` — the demand volume.
-    pub demand_ticks: u128,
-    /// `W_d ·` Σ over bins of their open length — the rented volume.
-    pub rented_ticks: u128,
-    /// `demand_ticks / rented_ticks`, the utilization of this dimension.
-    pub utilization: Ratio,
-    /// `rented_ticks − demand_ticks`, idle capacity-ticks.
-    pub waste_ticks: u128,
-}
-
-/// Exact aggregate of a vector cluster run.
-#[derive(Debug, Clone)]
-pub struct VectorClusterRun<Sz> {
-    /// Dispatcher name.
-    pub algorithm: String,
-    /// Router name.
-    pub router: String,
-    /// Shard count.
-    pub shards_used: usize,
-    /// Sessions served (= the instance size; conservation holds by
-    /// construction and is re-checked in [`run_cluster_vec`]).
-    pub sessions_served: usize,
-    /// Distinct servers rented across shards.
-    pub servers_rented: usize,
-    /// Σ of per-shard total costs, in server-ticks.
-    pub busy_ticks: u128,
-    /// Per-dimension utilization/waste, indexed by dimension.
-    pub dims: Vec<DimReport>,
-    /// Per-shard outcomes.
-    pub shards: Vec<VectorShardRun<Sz>>,
-    /// `assignment[item.index()]` is the shard that served the item.
-    pub assignment: Vec<usize>,
-}
-
-/// Route, restrict, and dispatch a vector instance across `shards`
-/// independent shards, each running a fresh selector from `mk_selector`.
-/// Every shard trace is validated (per-dimension capacity, interval
-/// exactness), and the run's conservation ledger — each item served by
-/// exactly one shard — is asserted before returning.
-///
-/// With one shard the single trace is the plain engine's for the whole
-/// instance: byte-identical serialization at `D = 1` to the scalar run.
+/// Dispatch `requests` across `shards` shards under `router` through
+/// [`ClusterEngine::run`], each shard running a fresh selector from
+/// `mk_selector`, on the per-tick [`GamingSystem`] sized to the
+/// instance's GPU capacity.
 ///
 /// # Panics
-/// Panics if `shards` is zero or any shard trace fails validation.
+/// Panics if `shards` is zero or a shard worker dies.
 pub fn run_cluster_vec<Sz, S, F>(
     requests: &GInstance<Sz>,
     router: Router,
     shards: usize,
-    mut mk_selector: F,
-) -> VectorClusterRun<Sz>
+    mk_selector: F,
+) -> ClusterReport
 where
     Sz: Demand,
-    S: BinSelector<Sz>,
-    F: FnMut() -> S,
+    S: BinSelector<Sz> + 'static,
+    F: Fn() -> S + Send + Sync + 'static,
 {
-    let assignment = assign_vec(router, requests, shards);
-    let mut shard_runs = Vec::with_capacity(shards);
-    let mut served = vec![false; requests.len()];
-    let mut algorithm = String::new();
-    for k in 0..shards {
-        let (sub, back) = requests.restrict(|it| assignment[it.id.index()] == k);
-        let mut sel = mk_selector();
-        algorithm = <S as BinSelector<Sz>>::name(&sel).to_string();
-        let trace = dbp_core::engine::simulate_validated(&sub, &mut sel);
-        for id in &back {
-            assert!(!served[id.index()], "item {id:?} routed to two shards");
-            served[id.index()] = true;
-        }
-        shard_runs.push(VectorShardRun {
-            shard: k,
-            trace,
-            back,
-        });
-    }
-    assert!(
-        served.iter().all(|&s| s),
-        "conservation violated: some item was never dispatched"
-    );
-
-    let servers_rented: usize = shard_runs.iter().map(|s| s.trace.bins_used()).sum();
-    let busy_ticks: u128 = shard_runs.iter().map(|s| s.trace.total_cost_ticks()).sum();
-
-    let cap = requests.capacity();
-    let dims = (0..Sz::DIMS)
-        .map(|d| {
-            let demand_ticks: u128 = requests
-                .items()
-                .iter()
-                .map(|it| {
-                    it.size.component(d) as u128 * (it.departure.raw() - it.arrival.raw()) as u128
-                })
-                .sum();
-            let rented_ticks = cap.component(d) as u128 * busy_ticks;
-            let utilization = if rented_ticks == 0 {
-                Ratio::from_int(0)
-            } else {
-                Ratio::new(demand_ticks, rented_ticks)
-            };
-            DimReport {
-                dim: d,
-                capacity: cap.component(d),
-                demand_ticks,
-                rented_ticks,
-                utilization,
-                waste_ticks: rented_ticks - demand_ticks,
-            }
-        })
-        .collect();
-
-    VectorClusterRun {
-        algorithm,
-        router: router.name().to_string(),
-        shards_used: shards,
-        sessions_served: requests.len(),
-        servers_rented,
-        busy_ticks,
-        dims,
-        shards: shard_runs,
-        assignment,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dbp_core::algorithms::FirstFit;
-    use dbp_core::demand::VSize;
-    use dbp_core::instance::{GInstanceBuilder, InstanceBuilder};
-
-    fn tiny_scalar() -> dbp_core::instance::Instance {
-        let mut b = InstanceBuilder::new(1000);
-        b.add(0, 10, 5);
-        b.add(0, 10, 5);
-        b.add(5, 20, 7);
-        b.add(12, 30, 9);
-        b.add(13, 22, 50);
-        b.add(14, 40, 125); // matches a catalog footprint (affinity path)
-        b.build().unwrap()
-    }
-
-    fn lift1(inst: &dbp_core::instance::Instance) -> GInstance<VSize<1>> {
-        inst.map_demand(|s| VSize([s.raw()])).unwrap()
-    }
-
-    #[test]
-    fn d1_assignment_matches_scalar_for_every_router_and_shard_count() {
-        let inst = tiny_scalar();
-        let lifted = lift1(&inst);
-        for r in Router::ALL {
-            for shards in [1, 2, 3, 8] {
-                assert_eq!(
-                    assign_vec(r, &lifted, shards),
-                    r.assign(&inst, shards),
-                    "router {} × {shards} shards diverged",
-                    r.name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn d1_route_one_matches_scalar_under_identical_load_views() {
-        let loads_scalar = [7u128, 3, 5, 3];
-        let loads_vec: DimLoads = loads_scalar.iter().map(|&l| vec![l]).collect();
-        for r in Router::ALL {
-            for (id, size) in [(0u64, 125u64), (1, 17), (9, 200), (77, 1)] {
-                assert_eq!(
-                    route_one_vec(r, id, &VSize([size]), &loads_vec),
-                    r.route_one(id, size, &loads_scalar),
-                    "router {} diverged on id {id}",
-                    r.name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn least_loaded_spreads_by_binding_dimension() {
-        // Shard 0 is GPU-hot, shard 1 is memory-hot with a higher max:
-        // the max-dimension key must prefer shard 0.
-        let loads: DimLoads = vec![vec![80, 10], vec![10, 90]];
-        let got = route_one_vec(Router::LeastLoaded, 0, &VSize([1u64, 1]), &loads);
-        assert_eq!(got, 0);
-    }
-
-    #[test]
-    fn vector_cluster_run_conserves_and_respects_every_dimension() {
-        let mut b = GInstanceBuilder::new(VSize([100u64, 50]));
-        b.add(0, 10, VSize([30, 20]));
-        b.add(1, 12, VSize([30, 20]));
-        b.add(2, 14, VSize([30, 20])); // dim 1 binds: 60 ≤ 100 but 60 > 50
-        b.add(3, 20, VSize([5, 5]));
-        b.add(15, 25, VSize([99, 1]));
-        let inst = b.build().unwrap();
-        for r in Router::ALL {
-            for shards in [1, 2, 3] {
-                let run = run_cluster_vec(&inst, r, shards, FirstFit::new);
-                assert_eq!(run.sessions_served, inst.len());
-                assert_eq!(run.dims.len(), 2);
-                for d in &run.dims {
-                    assert_eq!(
-                        d.rented_ticks,
-                        d.demand_ticks + d.waste_ticks,
-                        "dimension ledger must balance"
-                    );
-                }
-                // Each shard trace validated inside simulate_validated;
-                // check the back-maps partition the id space.
-                let mut seen: Vec<ItemId> =
-                    run.shards.iter().flat_map(|s| s.back.clone()).collect();
-                seen.sort();
-                assert_eq!(seen.len(), inst.len());
-            }
-        }
-    }
-
-    #[test]
-    fn one_shard_vector_trace_is_the_plain_engine_trace() {
-        let inst = tiny_scalar();
-        let lifted = lift1(&inst);
-        let run = run_cluster_vec(&lifted, Router::LeastLoaded, 1, FirstFit::new);
-        let scalar_trace = dbp_core::engine::simulate_validated(&inst, &mut FirstFit::new());
-        let a = serde_json::to_string(&run.shards[0].trace).unwrap();
-        let b = serde_json::to_string(&scalar_trace).unwrap();
-        assert_eq!(a, b, "D=1 single-shard trace must be byte-identical");
-    }
+    let config = ClusterConfig::new(shards, router).unwrap_or_else(|e| panic!("{e}"));
+    let name = <S as BinSelector<Sz>>::name(&mk_selector());
+    let factory = GSelectorFactory::new(name, move || {
+        Box::new(mk_selector()) as Box<dyn BinSelector<Sz>>
+    });
+    let system = GamingSystem::per_tick(requests.capacity().component(0));
+    ClusterEngine::new(system, config)
+        .run(requests, &factory)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .report
 }

@@ -1,7 +1,8 @@
 //! Derived metrics for comparing packings in experiments.
 
 use crate::bounds::combined_lower_bound;
-use crate::instance::Instance;
+use crate::demand::Demand;
+use crate::instance::{GInstance, Instance};
 use crate::ratio::Ratio;
 use crate::trace::PackingTrace;
 use serde::{Deserialize, Serialize};
@@ -56,6 +57,63 @@ pub fn summarize(instance: &Instance, trace: &PackingTrace) -> RunSummary {
         ratio_vs_lower_bound: ratio,
         mean_utilization: util,
     }
+}
+
+/// Per-dimension accounting of one run over a vector instance. All sums
+/// are exact integers; the utilization is an exact rational.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct DimReport {
+    /// Dimension index.
+    pub dim: usize,
+    /// Capacity `W_d` of this dimension.
+    pub capacity: u64,
+    /// Σ over items of `size_d · duration` — the demand volume.
+    pub demand_ticks: u128,
+    /// `W_d ·` Σ over bins of their open length — the rented volume.
+    pub rented_ticks: u128,
+    /// `demand_ticks / rented_ticks`, the utilization of this dimension.
+    pub utilization: Ratio,
+    /// `rented_ticks − demand_ticks`, idle capacity-ticks.
+    pub waste_ticks: u128,
+}
+
+impl DimReport {
+    /// The utilization in parts per million, floored (0 when nothing was
+    /// rented) — the integer form metrics exports carry.
+    pub fn utilization_ppm(&self) -> u128 {
+        (self.demand_ticks * 1_000_000)
+            .checked_div(self.rented_ticks)
+            .unwrap_or(0)
+    }
+}
+
+/// The per-dimension ledger of a run that rented `busy_ticks` bin-ticks
+/// for `instance`: every bin is a whole server, so each dimension `d`
+/// rents `W_d · busy_ticks` and wastes what its demand leaves idle. Bins
+/// of several shards add up, so a cluster passes the sum of its shards'
+/// busy ticks.
+pub fn dim_ledger<Sz: Demand>(instance: &GInstance<Sz>, busy_ticks: u128) -> Vec<DimReport> {
+    let cap = instance.capacity();
+    instance
+        .total_demand_per_dim()
+        .into_iter()
+        .enumerate()
+        .map(|(d, demand_ticks)| {
+            let rented_ticks = cap.component(d) as u128 * busy_ticks;
+            DimReport {
+                dim: d,
+                capacity: cap.component(d),
+                demand_ticks,
+                rented_ticks,
+                utilization: if rented_ticks == 0 {
+                    Ratio::ZERO
+                } else {
+                    Ratio::new(demand_ticks, rented_ticks)
+                },
+                waste_ticks: rented_ticks - demand_ticks,
+            }
+        })
+        .collect()
 }
 
 /// Time-weighted distribution statistics of the open-bin count, plus bin
@@ -167,6 +225,25 @@ mod tests {
         let inst = crate::instance::Instance::new(crate::item::Size(5), vec![]).unwrap();
         let trace = simulate_validated(&inst, &mut FirstFit::new());
         assert_eq!(fleet_stats(&trace), None);
+    }
+
+    #[test]
+    fn dim_ledger_balances_every_dimension() {
+        use crate::demand::VSize;
+        let mut b = crate::instance::GInstanceBuilder::new(VSize([10u64, 4]));
+        b.add(0, 10, VSize([5, 4]));
+        b.add(0, 5, VSize([2, 0]));
+        let inst = b.build().unwrap();
+        let trace = simulate_validated(&inst, &mut FirstFit::new());
+        let dims = dim_ledger(&inst, trace.total_cost_ticks());
+        assert_eq!(dims.len(), 2);
+        assert_eq!((dims[0].demand_ticks, dims[0].rented_ticks), (60, 100));
+        assert_eq!((dims[1].demand_ticks, dims[1].rented_ticks), (40, 40));
+        for d in &dims {
+            assert_eq!(d.rented_ticks, d.demand_ticks + d.waste_ticks);
+        }
+        assert_eq!(dims[0].utilization_ppm(), 600_000);
+        assert_eq!(dims[1].utilization, Ratio::ONE);
     }
 
     #[test]

@@ -206,19 +206,23 @@ impl<Sz: Demand, S: BinSelector<Sz> + ?Sized> BinSelector<Sz> for Box<S> {
 }
 
 /// A boxed factory for selectors, letting experiment harnesses iterate over
-/// algorithm families generically.
-pub struct SelectorFactory {
+/// algorithm families generically. Generic over the demand type; the
+/// scalar model uses the [`SelectorFactory`] alias.
+pub struct GSelectorFactory<Sz: Demand = Size> {
     name: &'static str,
-    make: Box<dyn Fn() -> Box<dyn BinSelector> + Send + Sync>,
+    make: Box<dyn Fn() -> Box<dyn BinSelector<Sz>> + Send + Sync>,
 }
 
-impl SelectorFactory {
+/// The scalar selector factory of the source paper's model.
+pub type SelectorFactory = GSelectorFactory<Size>;
+
+impl<Sz: Demand> GSelectorFactory<Sz> {
     /// Wrap a constructor closure under a roster name.
     pub fn new(
         name: &'static str,
-        make: impl Fn() -> Box<dyn BinSelector> + Send + Sync + 'static,
-    ) -> SelectorFactory {
-        SelectorFactory {
+        make: impl Fn() -> Box<dyn BinSelector<Sz>> + Send + Sync + 'static,
+    ) -> GSelectorFactory<Sz> {
+        GSelectorFactory {
             name,
             make: Box::new(make),
         }
@@ -230,12 +234,12 @@ impl SelectorFactory {
     }
 
     /// Construct a fresh selector.
-    pub fn build(&self) -> Box<dyn BinSelector> {
+    pub fn build(&self) -> Box<dyn BinSelector<Sz>> {
         (self.make)()
     }
 }
 
-impl core::fmt::Debug for SelectorFactory {
+impl<Sz: Demand> core::fmt::Debug for GSelectorFactory<Sz> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("SelectorFactory")
             .field("name", &self.name)

@@ -500,6 +500,25 @@ impl<Sz: Demand, P: Probe<Sz>> Probe<Sz> for &mut P {
     }
 }
 
+/// Opt-in probe: `None` drops every event, so a caller can attach a probe
+/// only when some flag asks for its output without a code path per flag
+/// combination.
+impl<Sz: Demand, P: Probe<Sz>> Probe<Sz> for Option<P> {
+    const ENABLED: bool = P::ENABLED;
+
+    fn record(&mut self, event: GProbeEvent<Sz>) {
+        if let Some(p) = self {
+            p.record(event);
+        }
+    }
+
+    fn on_decision_ns(&mut self, ns: u64) {
+        if let Some(p) = self {
+            p.on_decision_ns(ns);
+        }
+    }
+}
+
 /// Fan-out combinator: `(A, B)` forwards every event to both probes, so a
 /// run can, say, write a JSONL log *and* aggregate metrics in one pass.
 impl<Sz: Demand, A: Probe<Sz>, B: Probe<Sz>> Probe<Sz> for (A, B) {
@@ -574,6 +593,21 @@ mod tests {
             open_ticks: 3,
         });
         assert_eq!((pair.0 .0, pair.1 .0), (1, 1));
+
+        // `Option` keeps the inner flag and forwards only when attached.
+        let opt_flags = [
+            <Option<NoProbe> as Probe<Size>>::ENABLED,
+            <Option<Count> as Probe<Size>>::ENABLED,
+        ];
+        assert_eq!(opt_flags, [false, true]);
+        let closed = ProbeEvent::BinClosed {
+            at: Tick(3),
+            bin: BinId(0),
+            open_ticks: 3,
+        };
+        let mut attached = (Some(Count(0)), None::<Count>);
+        attached.record(closed);
+        assert_eq!(attached.0.map(|c| c.0), Some(1));
     }
 
     #[test]

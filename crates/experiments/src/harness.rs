@@ -151,13 +151,6 @@ pub fn cell(x: impl Display) -> String {
     x.to_string()
 }
 
-/// Run an experiment's standard epilogue: print and persist.
-pub fn finish(table: &Table, stem: &str) {
-    table.print();
-    let path = table.write_csv(stem);
-    println!("[csv] {}", path.display());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

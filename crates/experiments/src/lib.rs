@@ -3,8 +3,9 @@
 //! Each module reproduces one artifact of the SPAA'14 MinTotal DBP paper
 //! (see DESIGN.md's per-experiment index) and is exposed both as a library
 //! function `run(quick) -> (Table, rows)` — used by tests and the bench
-//! harness — and as a binary (`cargo run -p dbp-experiments --bin <id>`,
-//! `--quick` for a reduced grid). CSV artifacts land in `results/`.
+//! harness — and through the `run_all` sweep (`cargo run --release -p
+//! dbp-experiments --bin run_all -- --only <id>` for one artifact,
+//! `--quick` for reduced grids). CSV artifacts land in `results/`.
 //!
 //! | module | paper artifact |
 //! |---|---|
@@ -65,7 +66,7 @@ pub mod thm5_general_ff;
 pub mod unit_fractions;
 pub mod value_of_clairvoyance;
 
-/// Whether `--quick` was passed to an experiment binary.
+/// Whether `--quick` was passed on the command line.
 pub fn quick_flag() -> bool {
     std::env::args().any(|a| a == "--quick")
 }

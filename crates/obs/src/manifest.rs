@@ -40,19 +40,21 @@ pub struct RunManifest {
 }
 
 impl RunManifest {
-    /// Build a manifest for a finished run over `instance`.
-    pub fn capture(
+    /// Build a manifest for a finished run over `instance`. The digest
+    /// covers every dimension; `capacity` records dimension 0 (the GPU
+    /// flavor), which for a scalar instance is `W` itself.
+    pub fn capture<Sz: dbp_core::demand::Demand>(
         algorithm: &str,
         seed: Option<u64>,
-        instance: &Instance,
+        instance: &dbp_core::instance::GInstance<Sz>,
         wall_time: Duration,
     ) -> RunManifest {
         RunManifest {
             algorithm: algorithm.to_string(),
             seed,
-            instance_digest: instance_digest(instance),
+            instance_digest: instance_digest_dims(instance),
             n_items: instance.len() as u64,
-            capacity: instance.capacity().raw(),
+            capacity: instance.capacity().component(0),
             wall_time_ns: wall_time.as_nanos() as u64,
             peak_rss_bytes: peak_rss_bytes(),
             total_cost_ticks: None,

@@ -13,13 +13,13 @@
 //! demand must serialize as a bare integer, not a one-element array).
 
 use dbp::prelude::*;
-use dbp_cloudsim::{billed_ticks, rental_cost_cents, Granularity, ServerType};
-use dbp_cluster::vector::run_cluster_vec;
-use dbp_cluster::Router;
+use dbp_cloudsim::{billed_ticks, rental_cost_cents, GamingSystem, Granularity, ServerType};
+use dbp_cluster::{ClusterConfig, ClusterEngine, ClusterRun, Router};
 use dbp_core::demand::{Demand, VSize};
 use dbp_core::engine::{simulate_probed, simulate_validated as sim_validated};
 use dbp_core::instance::GInstance;
-use dbp_core::packer::BinSelector;
+use dbp_core::metrics::dim_ledger;
+use dbp_core::packer::{BinSelector, GSelectorFactory};
 use dbp_core::trace::PackingTrace;
 use dbp_core::StreamingEngine;
 use dbp_obs::export::{events_to_jsonl, events_to_jsonl_dims};
@@ -64,6 +64,36 @@ fn demand_ticks<Sz: Demand>(inst: &GInstance<Sz>) -> Vec<u128> {
         }
     }
     ticks
+}
+
+/// Per-dimension demand volume of the items the shards actually served,
+/// read through their back-maps: an item lost or served twice shows up as
+/// a mismatch against [`demand_ticks`] of the whole instance.
+fn served_demand_ticks<Sz: Demand>(inst: &GInstance<Sz>, run: &ClusterRun<Sz>) -> Vec<u128> {
+    let mut ticks = vec![0u128; Sz::DIMS];
+    for id in run.shards.iter().flat_map(|s| &s.back) {
+        let it = &inst.items()[id.index()];
+        let span = (it.departure.raw() - it.arrival.raw()) as u128;
+        for (d, slot) in ticks.iter_mut().enumerate() {
+            *slot += it.size.component(d) as u128 * span;
+        }
+    }
+    ticks
+}
+
+/// Dispatch `inst` across `shards` shards through the cluster engine, every
+/// shard running the roster selector `name`.
+fn cluster_run<Sz: Demand>(
+    inst: &GInstance<Sz>,
+    router: Router,
+    shards: usize,
+    name: &'static str,
+) -> ClusterRun<Sz> {
+    let factory = GSelectorFactory::new(name, move || selector::<Sz>(name));
+    let system = GamingSystem::per_tick(inst.capacity().component(0));
+    ClusterEngine::new(system, ClusterConfig::new(shards, router).unwrap())
+        .run(inst, &factory)
+        .unwrap_or_else(|e| panic!("{name}/{}: {e}", router.name()))
 }
 
 /// The full D=1 byte-identity check for one selector on one instance.
@@ -113,7 +143,7 @@ fn assert_d1_byte_identical(inst: &Instance, name: &str) {
 /// the scalar engine's cost (a uniform lift changes no decision — every
 /// dimension sees the same fit question), and conservation holds under
 /// every cluster router.
-fn assert_lifted_invariants<const D: usize>(inst: &Instance, name: &str) {
+fn assert_lifted_invariants<const D: usize>(inst: &Instance, name: &'static str) {
     let vinst = lift_uniform::<D>(inst);
     let vtrace = sim_validated(&vinst, &mut *selector::<VSize<D>>(name));
     let strace = sim_validated(inst, &mut *selector::<Size>(name));
@@ -129,12 +159,14 @@ fn assert_lifted_invariants<const D: usize>(inst: &Instance, name: &str) {
 
     let expected = demand_ticks(&vinst);
     for router in ROUTERS {
-        let run = run_cluster_vec(&vinst, router, 3, || selector::<VSize<D>>(name));
-        assert_eq!(run.sessions_served, inst.len());
-        assert_eq!(run.dims.len(), D);
-        for d in &run.dims {
+        let run = cluster_run(&vinst, router, 3, name);
+        assert_eq!(run.report.sessions_served, inst.len());
+        let dims = dim_ledger(&vinst, run.report.busy_ticks);
+        assert_eq!(dims.len(), D);
+        let served = served_demand_ticks(&vinst, &run);
+        for d in &dims {
             assert_eq!(
-                d.demand_ticks,
+                served[d.dim],
                 expected[d.dim],
                 "{name}/{}: dim {} demand not conserved across shards",
                 router.name(),
@@ -207,18 +239,130 @@ proptest! {
             );
         }
     }
+}
 
-    /// At D=1 the vector routers make the scalar routers' decisions:
-    /// identical shard assignment for the whole stream.
-    #[test]
-    fn d1_routing_matches_scalar_routers(inst in instances(), shards in 1usize..5) {
+/// FNV-1a over an assignment's shard indices, as little-endian `u64`s.
+fn assignment_digest(assignment: &[usize]) -> String {
+    let mut h: u64 = 0xcbf29ce484222325;
+    for &s in assignment {
+        for b in (s as u64).to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100000001b3);
+        }
+    }
+    format!("{h:016x}")
+}
+
+/// Assignment digests of the scalar routers for every router × shards ∈
+/// {1, 2, 3, 8}, pinned before the scalar and vector routers were unified:
+/// `dbp_workloads::churn(10_000, 7)` and the instance `dbp generate gaming
+/// --seed 7` writes.
+const PINNED_ROUTES: [(&str, Router, [&str; 4]); 6] = [
+    (
+        "churn",
+        Router::HashByItem,
+        [
+            "9b85a68c78294d25",
+            "5e64d8c082331464",
+            "1dfeed410b9cc886",
+            "f816145ba5300420",
+        ],
+    ),
+    (
+        "churn",
+        Router::GameAffinity,
+        [
+            "9b85a68c78294d25",
+            "04aeba8163fc9664",
+            "de4b4a8c97c82766",
+            "f972eefc2d673be0",
+        ],
+    ),
+    (
+        "churn",
+        Router::LeastLoaded,
+        [
+            "9b85a68c78294d25",
+            "cd6bd13c0ac790a4",
+            "616893230548db45",
+            "def5cc854c868103",
+        ],
+    ),
+    (
+        "gaming",
+        Router::HashByItem,
+        [
+            "77d0f916365e22e5",
+            "c375f4b012e6b5e5",
+            "7d730f7c075944c4",
+            "0977a1a5c1ec4561",
+        ],
+    ),
+    (
+        "gaming",
+        Router::GameAffinity,
+        [
+            "77d0f916365e22e5",
+            "80af5b5ed9fdbe45",
+            "d3de6b7c27696d05",
+            "418c58825728f1c7",
+        ],
+    ),
+    (
+        "gaming",
+        Router::LeastLoaded,
+        [
+            "77d0f916365e22e5",
+            "fb515b6bdb3f7ea4",
+            "610cb4ce4cd22567",
+            "59fe07045e1d6801",
+        ],
+    ),
+];
+
+/// At D=1 the unified router makes the scalar routers' decisions: on the
+/// pinned fixtures, the scalar and the `VSize<1>` instantiation both
+/// reproduce the pinned digests; on arbitrary instances, the two
+/// instantiations agree item for item.
+#[test]
+fn d1_routing_matches_scalar_routers() {
+    let churn = dbp_workloads::churn(10_000, 7);
+    let gaming = dbp_workloads::generate(&dbp_workloads::CloudGamingConfig {
+        horizon: 4 * 3600,
+        arrivals: dbp_workloads::ArrivalKind::Poisson { rate: 0.05 },
+        seed: 7,
+        ..dbp_workloads::CloudGamingConfig::default()
+    });
+    for (fixture, router, pins) in PINNED_ROUTES {
+        let inst = if fixture == "churn" { &churn } else { &gaming };
+        let vinst = lift_uniform::<1>(inst);
+        for (shards, pin) in [1usize, 2, 3, 8].into_iter().zip(pins) {
+            let what = format!("{fixture}/{} × {shards}", router.name());
+            assert_eq!(
+                assignment_digest(&router.assign(inst, shards)),
+                pin,
+                "{what}"
+            );
+            assert_eq!(
+                assignment_digest(&router.assign(&vinst, shards)),
+                pin,
+                "{what} D=1"
+            );
+        }
+    }
+
+    // The same 24 seeded cases the property ran as a `proptest!` item.
+    let config = ProptestConfig::with_cases(24);
+    proptest::run_cases(&config, "d1_routing_matches_scalar_routers", |rng| {
+        let (inst, shards) = Strategy::sample(&(instances(), 1usize..5), rng);
         let vinst = lift_uniform::<1>(&inst);
         for router in ROUTERS {
             let scalar = router.assign(&inst, shards);
-            let vector = dbp_cluster::vector::assign_vec(router, &vinst, shards);
+            let vector = dbp_cluster::assign_vec(router, &vinst, shards);
             prop_assert_eq!(&scalar, &vector, "router {} diverged at D=1", router.name());
         }
-    }
+        Ok(())
+    });
 }
 
 /// The dominance selector is vector-only (it orders by max component);
@@ -234,11 +378,11 @@ fn dominance_selector_conserves_at_high_dims() {
     let trace = sim_validated(&vinst, &mut *selector::<VSize<4>>("DOM"));
     assert!(trace.bins_used() > 0);
     let expected = demand_ticks(&vinst);
-    let run = run_cluster_vec(&vinst, Router::LeastLoaded, 4, || {
-        selector::<VSize<4>>("DOM")
-    });
-    for d in &run.dims {
+    let run = cluster_run(&vinst, Router::LeastLoaded, 4, "DOM");
+    assert_eq!(served_demand_ticks(&vinst, &run), expected);
+    for d in dim_ledger(&vinst, run.report.busy_ticks) {
         assert_eq!(d.demand_ticks, expected[d.dim]);
+        assert_eq!(d.rented_ticks - d.waste_ticks, d.demand_ticks);
     }
 }
 
@@ -266,10 +410,11 @@ fn heterogeneous_dims_conserve_under_all_routers() {
         let trace = sim_validated(&vinst, &mut *selector::<VSize<2>>(name));
         assert!(trace.bins_used() > 0, "{name}: nothing packed");
         for router in ROUTERS {
-            let run = run_cluster_vec(&vinst, router, 3, || selector::<VSize<2>>(name));
-            for d in &run.dims {
+            let run = cluster_run(&vinst, router, 3, name);
+            let served = served_demand_ticks(&vinst, &run);
+            for d in dim_ledger(&vinst, run.report.busy_ticks) {
                 assert_eq!(
-                    d.demand_ticks,
+                    served[d.dim],
                     expected[d.dim],
                     "{name}/{}: dim {} demand not conserved",
                     router.name(),
