@@ -107,6 +107,32 @@ fn adversary_adaptive_works_against_named_algorithm() {
 }
 
 #[test]
+fn adversary_adaptive_output_is_pinned_for_the_indexed_names() {
+    // Captured from the build whose `ff`/`bf`/`mff` still scanned: the
+    // indexed selectors the names now run must be driven through the same
+    // hooks and force the same bins.
+    for algo in ["ff", "bf", "mff"] {
+        let out = dbp(&[
+            "adversary",
+            "adaptive",
+            "--k",
+            "5",
+            "--mu",
+            "8",
+            "--algo",
+            algo,
+        ]);
+        assert_eq!(
+            stdout(&out),
+            format!(
+                "adaptive adversary vs {algo}: 5 bins opened, forced cost 40000 bin-ticks\n\
+                 25 items (pass --out FILE to save)\n"
+            )
+        );
+    }
+}
+
+#[test]
 fn run_saves_trace_and_prints_fleet() {
     let (_, trace_in) = tmpfile("wl.json");
     let (_, trace_out) = tmpfile("trace_out.json");
@@ -203,4 +229,42 @@ fn opt_timeline_prints_profiles() {
 fn missing_file_is_a_clean_error() {
     let out = dbp(&["run", "/nonexistent/trace.json"]);
     assert!(!out.status.success());
+}
+
+#[test]
+fn invalid_traces_exit_1_naming_the_item_without_panicking() {
+    let ok = r#"{"id":0,"arrival":0,"departure":5,"size":3,"region":0}"#;
+    let cases = [
+        (
+            "empty_interval",
+            r#"{"id":1,"arrival":4,"departure":4,"size":3,"region":0}"#,
+            "item r1 has departure <= arrival",
+        ),
+        (
+            "bad_id",
+            r#"{"id":7,"arrival":1,"departure":4,"size":3,"region":0}"#,
+            "item at index 1 has id r7",
+        ),
+        (
+            "oversized",
+            r#"{"id":1,"arrival":1,"departure":4,"size":11,"region":0}"#,
+            "item r1 has size 11 > capacity 10",
+        ),
+        (
+            "zero_size",
+            r#"{"id":1,"arrival":1,"departure":4,"size":0,"region":0}"#,
+            "item r1 has zero size",
+        ),
+    ];
+    for (name, bad, message) in cases {
+        let (p, path) = tmpfile(&format!("bad_{name}.json"));
+        std::fs::write(&p, format!(r#"{{"capacity":10,"items":[{ok},{bad}]}}"#)).unwrap();
+        for cmd in ["run", "cluster"] {
+            let out = dbp(&[cmd, &path, "--algo", "ff"]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{cmd} {name}: {stderr}");
+            assert!(stderr.contains(message), "{cmd} {name}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{cmd} {name}: {stderr}");
+        }
+    }
 }

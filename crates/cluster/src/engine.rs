@@ -1460,8 +1460,9 @@ where
 type PoolResult<T> = Result<T, Box<dyn std::any::Any + Send>>;
 
 /// The bounded worker pool `run_all` uses, as a library primitive: `n`
-/// work units claimed by index from `workers` scoped threads, results
-/// returned in unit order regardless of scheduling.
+/// work units claimed by index from `workers` scoped threads (a single
+/// worker is the calling thread), results returned in unit order
+/// regardless of scheduling.
 ///
 /// Fault containment: each unit runs under `catch_unwind`, so one unit
 /// panicking yields `Err(payload)` in its slot instead of unwinding
@@ -1476,6 +1477,16 @@ where
     F: Fn(usize, U) -> T + Sync,
 {
     let n = units.len();
+    // One worker, or one unit: run in order on the calling thread. There
+    // is nothing to hand off, and the data the caller just built is still
+    // in its cache. Containment is the same `catch_unwind` per unit.
+    if workers <= 1 || n <= 1 {
+        return units
+            .into_iter()
+            .enumerate()
+            .map(|(i, unit)| catch_unwind(AssertUnwindSafe(|| work(i, unit))))
+            .collect();
+    }
     // Dedicated-thread fast path: with a worker per unit there is nothing
     // to schedule, so each shard gets its own long-lived thread with a
     // direct handoff — no claim counter, no Mutex slots, no contention on
@@ -1670,6 +1681,38 @@ mod tests {
             "got {err:?}"
         );
         assert!(err.to_string().contains("selector bug tripped"));
+    }
+
+    #[test]
+    fn one_worker_runs_shards_inline_with_the_pooled_results() {
+        let inst = workload(34);
+        let run_with = |jobs: usize| {
+            let mut config = ClusterConfig::new(3, Router::HashByItem).unwrap();
+            config.jobs = jobs;
+            let engine = ClusterEngine::new(GamingSystem::paper_model(), config);
+            let (run, logs) = engine
+                .run_probed(&inst, &ff_factory(), |_| dbp_obs::EventLog::new())
+                .unwrap();
+            let traces: Vec<_> = run.shards.iter().map(|s| s.trace.clone()).collect();
+            let events: Vec<Vec<ProbeEvent>> = logs.iter().map(|l| l.events().to_vec()).collect();
+            (run.report.busy_ticks, run.report.cost_cents, traces, events)
+        };
+        let inline = run_with(1);
+        assert_eq!(inline, run_with(2), "a worker per shard but one");
+        assert_eq!(inline, run_with(3), "a worker per shard");
+
+        // Containment does not depend on threads: a panicking shard run
+        // inline is the same typed error.
+        let mut config = ClusterConfig::new(3, Router::HashByItem).unwrap();
+        config.jobs = 1;
+        let engine = ClusterEngine::new(GamingSystem::paper_model(), config);
+        let factory =
+            SelectorFactory::new("PanicAfter", || Box::new(PanicAfter { calls: 0, at: 5 }));
+        let err = engine.run(&inst, &factory).unwrap_err();
+        assert!(
+            matches!(err, ClusterError::ShardPanicked { shard: 0, .. }),
+            "got {err:?}"
+        );
     }
 
     #[test]

@@ -9,11 +9,12 @@
 //! byte-identical) but answer each query from an index updated through the
 //! [`BinSelector`] state-change hooks:
 //!
-//! * [`IndexedFirstFit`] — a max-residual segment tree over bin-id space.
-//!   "First open bin with residual ≥ s" is a leftmost-leaf descent,
-//!   O(log B) where B is the number of bins ever opened. Closed (and
-//!   never-opened) ids hold residual 0, which no item can fit since item
-//!   sizes are validated positive.
+//! * [`IndexedFirstFit`] — a max-residual segment tree over the open bins
+//!   in id order. "First open bin with residual ≥ s" is a leftmost-leaf
+//!   descent, O(log m). Closed bins leave zero-residual tombstones, which
+//!   no item can fit since item sizes are validated positive, until a
+//!   compaction drops them; the tree stays O(m) however many bins were
+//!   ever opened.
 //! * [`IndexedBestFit`] — a `BTreeMap<level, BTreeSet<BinId>>` keyed by the
 //!   L1 level total. "Fullest open bin with level ≤ W − s, ties to the
 //!   earliest-opened" is a range query for the greatest feasible level
@@ -22,8 +23,7 @@
 //!   residual trees, one per size class. Classification picks the tree;
 //!   within a tree the query is the same leftmost descent as indexed FF,
 //!   which matches naive MFF because MFF *is* First Fit restricted to
-//!   same-tag bins and each tree holds residual 0 for every bin outside
-//!   its class.
+//!   same-tag bins and each tree holds only the bins of its class.
 //!
 //! ## Vector demands
 //!
@@ -54,20 +54,35 @@ use crate::packer::{BinSelector, Decision};
 use crate::ratio::Ratio;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Max-residual segment tree keyed by bin id, generic over the demand type.
-/// Leaves hold the residual capacity of open bins and the all-zero demand
-/// for closed/unopened ids; internal nodes hold the componentwise join
-/// (per-dimension max) of their subtrees. Grows by doubling as ids are
-/// allocated.
+/// Max-residual segment tree over open-bin slots, generic over the demand
+/// type.
+///
+/// Slots hold bins in increasing id order (`ids[slot]`), so the leftmost
+/// fitting slot is the lowest-id fitting open bin; hooks find a bin's slot
+/// by binary search. A closed bin leaves a tombstone slot with the all-zero
+/// residual (which no item fits, since item sizes are validated positive),
+/// and tombstones are compacted away once they make up half the slots, so
+/// the tree holds O(open bins) leaves however many ids were ever issued.
+/// Leaves hold residuals; internal nodes hold the componentwise join
+/// (per-dimension max) of their subtrees.
 #[derive(Debug, Clone, Default)]
 struct ResidualTree<Sz> {
-    /// 1-based heap layout; `tree[leaf_base + id]` is bin `id`'s residual.
+    /// 1-based heap layout; `tree[leaves + slot]` is the slot's residual.
     tree: Vec<Sz>,
     /// Number of leaves (a power of two, or 0 before the first insert).
     leaves: usize,
+    /// Bin id of each used slot, strictly increasing.
+    ids: Vec<u32>,
+    /// Whether each used slot is a closed bin's tombstone.
+    dead: Vec<bool>,
+    /// Number of tombstones in `dead`.
+    tombstones: usize,
 }
 
 impl<Sz: Demand> ResidualTree<Sz> {
+    /// Fewest leaves the tree is built with.
+    const MIN_LEAVES: usize = 64;
+
     /// Smallest open bin id whose residual fits `s` componentwise (`s`
     /// validated nonzero). The join bound is exact at `D = 1` (no
     /// backtracking, the classic leftmost descent); at higher dimensions
@@ -105,18 +120,78 @@ impl<Sz: Demand> ResidualTree<Sz> {
                     }
                 }
             } else {
-                return Some((node - self.leaves) as u32);
+                return Some(self.ids[node - self.leaves]);
             }
         }
     }
 
-    /// Set bin `id`'s residual, growing the tree if the id is new.
+    /// Set open bin `id`'s residual, giving it a slot if it has none.
     fn set(&mut self, id: u32, residual: Sz) {
-        let id = id as usize;
-        if id >= self.leaves {
-            self.grow(id + 1);
+        match self.ids.binary_search(&id) {
+            Ok(slot) => {
+                debug_assert!(!self.dead[slot], "bin ids are never reused");
+                self.write(slot, residual);
+            }
+            Err(slot) => self.insert(slot, id, residual),
         }
-        let mut node = self.leaves + id;
+    }
+
+    /// Set bin `id`'s residual if it holds a live slot; returns whether it
+    /// did.
+    fn update(&mut self, id: u32, residual: Sz) -> bool {
+        match self.ids.binary_search(&id) {
+            Ok(slot) if !self.dead[slot] => {
+                self.write(slot, residual);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Close bin `id`: its slot becomes a tombstone. Ids without a live
+    /// slot (never opened here, or already closed) are ignored.
+    fn close(&mut self, id: u32) {
+        let Ok(slot) = self.ids.binary_search(&id) else {
+            return;
+        };
+        if self.dead[slot] {
+            return;
+        }
+        self.dead[slot] = true;
+        self.tombstones += 1;
+        self.write(slot, Sz::ZERO);
+        if 2 * self.tombstones >= self.ids.len() && self.ids.len() >= Self::MIN_LEAVES / 2 {
+            self.rebuild(None);
+        }
+    }
+
+    /// Give `id` the slot `slot` (its sorted position). Ids arrive in
+    /// increasing order except for delayed boots under fault injection,
+    /// which shift the later slots right.
+    fn insert(&mut self, slot: usize, id: u32, residual: Sz) {
+        if self.ids.len() == self.leaves {
+            self.rebuild(Some((id, residual)));
+            return;
+        }
+        if slot == self.ids.len() {
+            self.ids.push(id);
+            self.dead.push(false);
+            self.write(slot, residual);
+            return;
+        }
+        self.ids.insert(slot, id);
+        self.dead.insert(slot, false);
+        let used = self.ids.len();
+        let leaves = self.leaves;
+        self.tree
+            .copy_within(leaves + slot..leaves + used - 1, leaves + slot + 1);
+        self.tree[leaves + slot] = residual;
+        self.build_internal();
+    }
+
+    /// Overwrite a slot's residual and refresh its ancestors.
+    fn write(&mut self, slot: usize, residual: Sz) {
+        let mut node = self.leaves + slot;
         self.tree[node] = residual;
         while node > 1 {
             node /= 2;
@@ -124,32 +199,47 @@ impl<Sz: Demand> ResidualTree<Sz> {
         }
     }
 
-    /// Bin `id`'s current residual (all-zero if never seen).
-    #[cfg(test)]
-    fn get(&self, id: u32) -> Sz {
-        let id = id as usize;
-        if id < self.leaves {
-            self.tree[self.leaves + id]
-        } else {
-            Sz::ZERO
+    /// Drop the tombstones (adding `extra`, in id order) and re-lay the
+    /// tree with room for twice the live slots.
+    fn rebuild(&mut self, extra: Option<(u32, Sz)>) {
+        let mut slots: Vec<(u32, Sz)> = (0..self.ids.len())
+            .filter(|&slot| !self.dead[slot])
+            .map(|slot| (self.ids[slot], self.tree[self.leaves + slot]))
+            .collect();
+        if let Some((id, residual)) = extra {
+            let at = slots.partition_point(|&(other, _)| other < id);
+            slots.insert(at, (id, residual));
+        }
+        let leaves = (2 * slots.len()).next_power_of_two().max(Self::MIN_LEAVES);
+        self.tree = vec![Sz::ZERO; 2 * leaves];
+        self.leaves = leaves;
+        for (slot, &(_, residual)) in slots.iter().enumerate() {
+            self.tree[leaves + slot] = residual;
+        }
+        self.ids = slots.iter().map(|&(id, _)| id).collect();
+        self.dead = vec![false; slots.len()];
+        self.tombstones = 0;
+        self.build_internal();
+    }
+
+    fn build_internal(&mut self) {
+        for node in (1..self.leaves).rev() {
+            self.tree[node] = self.tree[2 * node].join(self.tree[2 * node + 1]);
         }
     }
 
-    fn grow(&mut self, min_leaves: usize) {
-        let new_leaves = min_leaves.next_power_of_two().max(64);
-        let mut tree = vec![Sz::ZERO; 2 * new_leaves];
-        tree[new_leaves..new_leaves + self.leaves]
-            .copy_from_slice(&self.tree[self.leaves..2 * self.leaves]);
-        for node in (1..new_leaves).rev() {
-            tree[node] = tree[2 * node].join(tree[2 * node + 1]);
+    /// Bin `id`'s current residual (all-zero if it has no live slot).
+    #[cfg(test)]
+    fn get(&self, id: u32) -> Sz {
+        match self.ids.binary_search(&id) {
+            Ok(slot) if !self.dead[slot] => self.tree[self.leaves + slot],
+            _ => Sz::ZERO,
         }
-        self.tree = tree;
-        self.leaves = new_leaves;
     }
 }
 
 /// First Fit answered from a segment tree: same decisions as
-/// [`FirstFit`](super::FirstFit), O(log B) per arrival. Scalar via the
+/// [`FirstFit`](super::FirstFit), O(log m) per arrival. Scalar via the
 /// [`IndexedFirstFit`] alias.
 #[derive(Debug, Clone, Default)]
 pub struct GIndexedFirstFit<Sz> {
@@ -225,9 +315,9 @@ impl<Sz: Demand> BinSelector<Sz> for GIndexedFirstFit<Sz> {
     }
 
     fn on_bin_closed(&mut self, bin: BinId) {
-        // Also reached for ids burned by failed boots (never opened): the
-        // leaf is already 0, and `set` tolerates unseen ids.
-        self.tree.set(bin.0, Sz::ZERO);
+        // Also reached for ids burned by failed boots (never opened), which
+        // have no slot to close.
+        self.tree.close(bin.0);
     }
 
     fn is_any_fit(&self) -> bool {
@@ -359,22 +449,19 @@ impl<Sz: Demand> BinSelector<Sz> for GIndexedBestFit<Sz> {
 }
 
 /// Modified First Fit answered from two class-segregated residual trees:
-/// same decisions as [`ModifiedFirstFit`], O(log B) per arrival. Scalar via
+/// same decisions as [`ModifiedFirstFit`], O(log m) per arrival. Scalar via
 /// the [`IndexedMff`] alias.
 ///
 /// Classification is delegated to an inner naive [`ModifiedFirstFit`] so
 /// the exact-rational threshold arithmetic has a single home. Each class
-/// keeps its own [`ResidualTree`]; bins of the other class (and closed
-/// bins) hold residual 0 there, so the leftmost-fitting query within a
-/// tree is exactly naive MFF's "first same-tag bin that fits" scan.
+/// keeps its own [`ResidualTree`] holding only that class's open bins, so
+/// the leftmost-fitting query within a tree is exactly naive MFF's "first
+/// same-tag bin that fits" scan.
 #[derive(Debug, Clone)]
 pub struct GIndexedMff<Sz> {
     inner: ModifiedFirstFit,
     large: ResidualTree<Sz>,
     small: ResidualTree<Sz>,
-    /// Class each bin id was opened under (by tag); `None` for ids never
-    /// opened, so burned ids can be closed without guessing a tree.
-    class_of: Vec<Option<ItemClass>>,
     capacity: Option<Sz>,
 }
 
@@ -409,7 +496,6 @@ impl<Sz: Demand> GIndexedMff<Sz> {
             inner,
             large: ResidualTree::default(),
             small: ResidualTree::default(),
-            class_of: Vec::new(),
             capacity: None,
         }
     }
@@ -432,13 +518,12 @@ impl<Sz: Demand> GIndexedMff<Sz> {
         }
     }
 
-    /// Re-publish bin's residual into its class tree (no-op for ids whose
-    /// class was never recorded, which cannot hold items).
+    /// Re-publish bin's residual into the class tree holding it (no-op
+    /// for ids neither tree holds, which cannot hold items).
     fn update(&mut self, bin: BinId, level: Sz) {
-        let b = bin.index();
-        if let Some(Some(class)) = self.class_of.get(b).copied() {
-            let residual = self.residual(level);
-            self.tree_of(class).set(bin.0, residual);
+        let residual = self.residual(level);
+        if !self.large.update(bin.0, residual) {
+            self.small.update(bin.0, residual);
         }
     }
 }
@@ -488,11 +573,6 @@ impl<Sz: Demand> BinSelector<Sz> for GIndexedMff<Sz> {
             SMALL_TAG => ItemClass::Small,
             other => unreachable!("MFF opened a bin with foreign tag {other:?}"),
         };
-        let b = bin.index();
-        if b >= self.class_of.len() {
-            self.class_of.resize(b + 1, None);
-        }
-        self.class_of[b] = Some(class);
         let residual = self.residual(level);
         self.tree_of(class).set(bin.0, residual);
     }
@@ -506,13 +586,10 @@ impl<Sz: Demand> BinSelector<Sz> for GIndexedMff<Sz> {
     }
 
     fn on_bin_closed(&mut self, bin: BinId) {
-        // Burned ids (failed boots) may close without ever opening; their
-        // class is unrecorded and both trees already hold 0 for them.
-        let b = bin.index();
-        if let Some(Some(class)) = self.class_of.get(b).copied() {
-            self.tree_of(class).set(bin.0, Sz::ZERO);
-            self.class_of[b] = None;
-        }
+        // A bin lives in one tree at most; burned ids (failed boots) close
+        // without ever opening and are in neither.
+        self.large.close(bin.0);
+        self.small.close(bin.0);
     }
 
     // MFF is NOT Any Fit: it refuses cross-class placements.
@@ -563,6 +640,123 @@ mod tests {
         assert_eq!(t.first_fitting(VSize([5, 5])), None);
         t.set(2, VSize([0, 0]));
         assert_eq!(t.first_fitting(VSize([4, 4])), None);
+    }
+
+    /// Reference model: open bin id → residual; the answer is the
+    /// smallest fitting id.
+    fn model_first_fitting(model: &BTreeMap<u32, Size>, s: Size) -> Option<u32> {
+        model
+            .iter()
+            .find(|(_, r)| s.fits_within(**r))
+            .map(|(&id, _)| id)
+    }
+
+    #[test]
+    fn residual_tree_matches_a_sorted_model_under_any_open_order() {
+        use rand::{RngExt, SeedableRng};
+        for seed in 0..40 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut t = ResidualTree::<Size>::default();
+            let mut model: BTreeMap<u32, Size> = BTreeMap::new();
+            let mut next_id = 0u32;
+            let mut delayed: Vec<u32> = Vec::new();
+            for _ in 0..600 {
+                match rng.random_range(0..10u32) {
+                    // Open the next id, or hold it back as a delayed boot.
+                    0..=2 => {
+                        let id = next_id;
+                        next_id += 1;
+                        if rng.random_bool(0.3) {
+                            delayed.push(id);
+                        } else {
+                            let r = Size(rng.random_range(0..=10u64));
+                            t.set(id, r);
+                            model.insert(id, r);
+                        }
+                    }
+                    // A delayed boot comes up: out of id order.
+                    3 if !delayed.is_empty() => {
+                        let id = delayed.swap_remove(rng.random_range(0..delayed.len()));
+                        let r = Size(rng.random_range(0..=10u64));
+                        t.set(id, r);
+                        model.insert(id, r);
+                    }
+                    4..=6 if !model.is_empty() => {
+                        let k = rng.random_range(0..model.len());
+                        let id = *model.keys().nth(k).unwrap();
+                        let r = Size(rng.random_range(0..=10u64));
+                        t.set(id, r);
+                        model.insert(id, r);
+                    }
+                    _ => {
+                        // Close an open bin, or an id that never opened.
+                        let id = if model.is_empty() || rng.random_bool(0.1) {
+                            next_id + rng.random_range(0..5u32)
+                        } else {
+                            let k = rng.random_range(0..model.len());
+                            *model.keys().nth(k).unwrap()
+                        };
+                        t.close(id);
+                        model.remove(&id);
+                    }
+                }
+                for s in 1..=11 {
+                    assert_eq!(
+                        t.first_fitting(Size(s)),
+                        model_first_fitting(&model, Size(s)),
+                        "seed {seed}, size {s}"
+                    );
+                }
+                for (&id, &r) in &model {
+                    assert_eq!(t.get(id), r);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn residual_tree_holds_o_open_bins_leaves() {
+        // Whatever the open/close sequence, the leaves never exceed
+        // max(MIN_LEAVES, 8 · bins open now), so with at most K bins open
+        // the tree holds O(K) leaves however many ids were ever issued.
+        use rand::{RngExt, SeedableRng};
+        for k in [1usize, 3, 17, 200] {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(k as u64);
+            let mut t = ResidualTree::<Size>::default();
+            let mut open: Vec<u32> = Vec::new();
+            let mut next_id = 0u32;
+            for _ in 0..20_000 {
+                if open.len() < k && (open.is_empty() || rng.random_bool(0.5)) {
+                    t.set(next_id, Size(5));
+                    open.push(next_id);
+                    next_id += 1;
+                } else {
+                    let id = open.swap_remove(rng.random_range(0..open.len()));
+                    t.close(id);
+                }
+                let bound = ResidualTree::<Size>::MIN_LEAVES.max(8 * open.len());
+                assert!(
+                    t.leaves <= bound,
+                    "K={k}: {} leaves for {} open bins",
+                    t.leaves,
+                    open.len()
+                );
+                assert_eq!(t.ids.len() - t.tombstones, open.len());
+            }
+            assert!(next_id as usize > 20 * t.leaves.max(1) || k == 200);
+        }
+    }
+
+    #[test]
+    fn residual_tree_backtracks_after_out_of_order_opens() {
+        let mut t = ResidualTree::<VSize<2>>::default();
+        t.set(4, VSize([4, 4]));
+        t.set(0, VSize([5, 1]));
+        t.set(2, VSize([1, 5]));
+        assert_eq!(t.first_fitting(VSize([4, 4])), Some(4));
+        assert_eq!(t.first_fitting(VSize([1, 1])), Some(0));
+        t.close(0);
+        assert_eq!(t.first_fitting(VSize([1, 1])), Some(2));
     }
 
     fn churny_instance() -> crate::instance::Instance {

@@ -107,20 +107,20 @@ pub fn indexed_factories() -> Vec<SelectorFactory> {
 
 /// Build a selector by roster name for **any** demand dimensionality —
 /// the construction seam for components that pick their demand type at
-/// runtime (the serve daemon's `--dims` dispatch). Covers every
-/// deterministic dimension-agnostic selector: the naive and indexed
-/// display names resolve to the same decision sequence, so either roster's
-/// name works. Returns `None` for unknown names and for the scalar-only
-/// foils (WF/NF/LF/MI/RF/HFF classify on a single size).
+/// runtime (the serve daemon's `--dims` dispatch). The FF/BF/MFF names
+/// resolve to the indexed selectors, whose decisions are identical to the
+/// scanning [`FirstFit`]/[`BestFit`]/[`ModifiedFirstFit`] (the `-idx`
+/// spellings are aliases of the same selectors). Returns `None` for
+/// unknown names and for the scalar-only foils (WF/NF/LF/MI/RF/HFF
+/// classify on a single size).
 pub fn selector_for<Sz: Demand>(name: &str) -> Option<Box<dyn crate::packer::BinSelector<Sz>>> {
     Some(match name {
-        "FF" | "ff" => Box::new(FirstFit::new()),
-        "BF" | "bf" => Box::new(BestFit::new()),
-        "MFF(8)" | "MFF" | "mff" => Box::new(ModifiedFirstFit::new(8)),
+        "FF" | "ff" | "FF-idx" => Box::new(indexed::GIndexedFirstFit::<Sz>::new()),
+        "BF" | "bf" | "BF-idx" => Box::new(indexed::GIndexedBestFit::<Sz>::new()),
+        "MFF(8)" | "MFF" | "mff" | "MFF-idx" | "MFF(8)-idx" => {
+            Box::new(indexed::GIndexedMff::<Sz>::new(8))
+        }
         "DOM" | "dom" => Box::new(DominanceFit::new()),
-        "FF-idx" => Box::new(indexed::GIndexedFirstFit::<Sz>::new()),
-        "BF-idx" => Box::new(indexed::GIndexedBestFit::<Sz>::new()),
-        "MFF-idx" | "MFF(8)-idx" => Box::new(indexed::GIndexedMff::<Sz>::new(8)),
         _ => return None,
     })
 }

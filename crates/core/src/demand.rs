@@ -227,29 +227,36 @@ impl<const D: usize> Serialize for VSize<D> {
 }
 
 impl<const D: usize> Deserialize for VSize<D> {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::Seq(items) if items.len() == D => {
+    fn deserialize<'de, R: serde::de::Read<'de>>(r: &mut R) -> Result<Self, serde::Error> {
+        match r.peek()? {
+            serde::de::Kind::Seq => {
+                r.seq_begin()?;
                 let mut out = [0u64; D];
-                for (slot, item) in out.iter_mut().zip(items) {
-                    *slot = u64::from_value(item)?;
+                let mut n = 0;
+                while r.seq_next()? {
+                    match out.get_mut(n) {
+                        Some(slot) => *slot = u64::deserialize(r)?,
+                        None => r.skip()?,
+                    }
+                    n += 1;
+                }
+                if n != D {
+                    return Err(serde::Error::custom(format!(
+                        "demand vector has {n} dimension(s), expected {D}"
+                    )));
                 }
                 Ok(VSize(out))
             }
-            serde::Value::Seq(items) => Err(serde::Error::custom(format!(
-                "demand vector has {} dimension(s), expected {D}",
-                items.len()
-            ))),
             // Scalar back-compat: a bare number is a 1-vector.
-            other if D == 1 => {
+            _ if D == 1 => {
                 let mut out = [0u64; D];
-                out[0] = u64::from_value(other)?;
+                out[0] = u64::deserialize(r)?;
                 Ok(VSize(out))
             }
-            other => Err(serde::Error::custom(format!(
-                "expected demand vector of {D} dimension(s), got {}",
-                other.kind()
-            ))),
+            other => Err(serde::de::mismatch(
+                &format!("demand vector of {D} dimension(s)"),
+                other,
+            )),
         }
     }
 }

@@ -484,6 +484,9 @@ pub struct EngineRun<
     probe: &'a mut P,
     spans: R,
     keep_views: bool,
+    /// Whether arrivals are timed for `Probe::on_decision_ns` (read after
+    /// `P::ENABLED`, so a `NoProbe` run still compiles the clock away).
+    timed: bool,
     st: State<Sz>,
 }
 
@@ -576,7 +579,8 @@ impl<'a, Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>, R: SpanRecorder>
         probe: &'a mut P,
         spans: R,
     ) -> Self {
-        let keep_views = P::ENABLED || selector.needs_views();
+        let timed = P::ENABLED && probe.is_active();
+        let keep_views = timed || selector.needs_views();
         EngineRun {
             instance,
             capacity: instance.capacity(),
@@ -585,6 +589,7 @@ impl<'a, Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>, R: SpanRecorder>
             probe,
             spans,
             keep_views,
+            timed,
             st: State::new(instance),
         }
     }
@@ -632,7 +637,7 @@ impl<'a, Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>, R: SpanRecorder>
                 // Timed span: the *whole* arrival handling — selection plus
                 // placement bookkeeping — so `on_decision_ns` reflects the
                 // per-arrival cost users actually observe.
-                let started = if P::ENABLED {
+                let started = if P::ENABLED && self.timed {
                     Some(std::time::Instant::now())
                 } else {
                     None

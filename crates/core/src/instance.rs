@@ -73,11 +73,50 @@ impl<Sz: fmt::Debug + fmt::Display> std::error::Error for GInstanceError<Sz> {}
 /// An immutable, validated MinTotal DBP instance, generic over the demand
 /// type (scalar via the [`Instance`] alias, vector via
 /// [`VSize<D>`](crate::demand::VSize)).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Deserializing one runs [`GInstance::new`]'s checks, so a loaded trace is
+/// as valid as a built one; [`GInstance::from_json`] keeps the failed check
+/// as a typed [`GInstanceError`].
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct GInstance<Sz> {
     capacity: Sz,
     items: Vec<GItem<Sz>>,
 }
+
+/// The serialized shape of a [`GInstance`], before validation.
+#[derive(Deserialize)]
+struct RawInstance<Sz> {
+    capacity: Sz,
+    items: Vec<GItem<Sz>>,
+}
+
+impl<Sz: Demand> Deserialize for GInstance<Sz> {
+    fn deserialize<'de, R: serde::de::Read<'de>>(r: &mut R) -> Result<Self, serde::Error> {
+        let raw = RawInstance::<Sz>::deserialize(r)?;
+        GInstance::new(raw.capacity, raw.items)
+            .map_err(|e| serde::Error::custom(TraceLoadError::Invalid(e).to_string()))
+    }
+}
+
+/// Why a JSON trace failed to load (see [`GInstance::from_json`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TraceLoadError<Sz> {
+    /// Not JSON, or not the shape of an instance.
+    Parse(String),
+    /// Well-formed, but rejected by [`GInstance::new`].
+    Invalid(GInstanceError<Sz>),
+}
+
+impl<Sz: fmt::Display> fmt::Display for TraceLoadError<Sz> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TraceLoadError::Parse(msg) => f.write_str(msg),
+            TraceLoadError::Invalid(e) => write!(f, "invalid instance: {e}"),
+        }
+    }
+}
+
+impl<Sz: fmt::Debug + fmt::Display> std::error::Error for TraceLoadError<Sz> {}
 
 /// The scalar instance of the source paper.
 pub type Instance = GInstance<Size>;
@@ -112,6 +151,14 @@ impl<Sz: Demand> GInstance<Sz> {
             }
         }
         Ok(GInstance { capacity, items })
+    }
+
+    /// Parse and validate a JSON trace (the [`Serialize`] form), keeping a
+    /// failed [`GInstance::new`] check as a typed error.
+    pub fn from_json(text: &str) -> Result<GInstance<Sz>, TraceLoadError<Sz>> {
+        let raw: RawInstance<Sz> =
+            serde_json::from_str(text).map_err(|e| TraceLoadError::Parse(e.to_string()))?;
+        GInstance::new(raw.capacity, raw.items).map_err(TraceLoadError::Invalid)
     }
 
     /// Bin capacity `W`.

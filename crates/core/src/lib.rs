@@ -93,7 +93,7 @@ pub use engine::{
 };
 pub use instance::{
     GInstance, GInstanceBuilder, GInstanceError, GInstanceStats, Instance, InstanceBuilder,
-    InstanceError, InstanceStats,
+    InstanceError, InstanceStats, TraceLoadError,
 };
 pub use item::{ArrivingItem, GArrivingItem, GItem, Item, ItemId, RegionId, Size};
 pub use packer::{BinSelector, Decision, GSelectorFactory, SelectorFactory};

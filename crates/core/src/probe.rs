@@ -17,6 +17,10 @@
 //! `simulate_probed` with [`NoProbe`]) compiles to the same code as the
 //! uninstrumented engine. The `packing_throughput` benchmark keeps this
 //! honest.
+//!
+//! A probe that is attached but records nothing in this run — `None` as an
+//! `Option` probe — reports [`Probe::is_active`] `false`, and the engines
+//! then also skip the open-bin view mirror and the decision clock.
 
 use crate::bin::{BinId, BinTag};
 use crate::demand::Demand;
@@ -472,6 +476,14 @@ pub trait Probe<Sz: Demand = Size> {
     fn on_decision_ns(&mut self, ns: u64) {
         let _ = ns;
     }
+
+    /// Whether this probe records anything in this run. The engines keep
+    /// the open-bin view mirror and the decision clock only for an active
+    /// probe (or a selector that needs views), so an attached probe that
+    /// records nothing costs nothing. Defaults to `ENABLED`.
+    fn is_active(&self) -> bool {
+        Self::ENABLED
+    }
 }
 
 /// The default probe: does nothing, costs nothing.
@@ -498,6 +510,10 @@ impl<Sz: Demand, P: Probe<Sz>> Probe<Sz> for &mut P {
     fn on_decision_ns(&mut self, ns: u64) {
         (**self).on_decision_ns(ns);
     }
+
+    fn is_active(&self) -> bool {
+        (**self).is_active()
+    }
 }
 
 /// Opt-in probe: `None` drops every event, so a caller can attach a probe
@@ -516,6 +532,10 @@ impl<Sz: Demand, P: Probe<Sz>> Probe<Sz> for Option<P> {
         if let Some(p) = self {
             p.on_decision_ns(ns);
         }
+    }
+
+    fn is_active(&self) -> bool {
+        self.as_ref().is_some_and(|p| p.is_active())
     }
 }
 
@@ -542,6 +562,10 @@ impl<Sz: Demand, A: Probe<Sz>, B: Probe<Sz>> Probe<Sz> for (A, B) {
         if B::ENABLED {
             self.1.on_decision_ns(ns);
         }
+    }
+
+    fn is_active(&self) -> bool {
+        self.0.is_active() || self.1.is_active()
     }
 }
 
@@ -606,8 +630,21 @@ mod tests {
             open_ticks: 3,
         };
         let mut attached = (Some(Count(0)), None::<Count>);
+        assert!(attached.is_active());
         attached.record(closed);
         assert_eq!(attached.0.map(|c| c.0), Some(1));
+
+        // Run-time activity: `None` is inactive whatever its type's flag,
+        // pairs OR their halves, and `&mut` forwards.
+        assert!(!Probe::<Size>::is_active(&NoProbe));
+        assert!(Probe::<Size>::is_active(&Count(0)));
+        assert!(!Probe::<Size>::is_active(&None::<Count>));
+        assert!(!Probe::<Size>::is_active(&Some(NoProbe)));
+        let mut detached = (None::<Count>, None::<Count>);
+        assert!(!Probe::<Size>::is_active(&detached));
+        assert!(!Probe::<Size>::is_active(&&mut detached));
+        assert!(Probe::<Size>::is_active(&(None::<Count>, Count(0))));
+        assert!(Probe::<Size>::is_active(&&mut Some(Count(0))));
     }
 
     #[test]

@@ -263,6 +263,9 @@ pub struct StreamingEngine<S: BinSelector<Sz>, P: Probe<Sz>, Sz: Demand = Size> 
     selector: S,
     probe: P,
     keep_views: bool,
+    /// Whether arrivals are timed for `Probe::on_decision_ns` (read after
+    /// `P::ENABLED`, so a `NoProbe` run still compiles the clock away).
+    timed: bool,
     st: State<Sz>,
     /// Min-heap of scheduled departures keyed `(tick, item id)` — exactly
     /// the order the batch scheduler's stable sort yields for equal-tick
@@ -293,12 +296,14 @@ impl<Sz: Demand, S: BinSelector<Sz>, P: Probe<Sz>> StreamingEngine<S, P, Sz> {
             !capacity.has_zero_component(),
             "bin capacity must be positive in every dimension"
         );
-        let keep_views = P::ENABLED || selector.needs_views();
+        let timed = P::ENABLED && probe.is_active();
+        let keep_views = timed || selector.needs_views();
         StreamingEngine {
             capacity,
             selector,
             probe,
             keep_views,
+            timed,
             st: State::with_items(0),
             departures: BinaryHeap::new(),
             sizes: Vec::new(),
@@ -410,7 +415,7 @@ impl<Sz: Demand, S: BinSelector<Sz>, P: Probe<Sz>> StreamingEngine<S, P, Sz> {
                 size: arriving.size,
             });
         }
-        let started = if P::ENABLED {
+        let started = if P::ENABLED && self.timed {
             Some(std::time::Instant::now())
         } else {
             None

@@ -174,20 +174,30 @@ pub fn widen(scalar: &Instance) -> GInstance<VSize<HETERO_DIMS>> {
 }
 
 /// Peak concurrent demand per dimension, as `(used, capacity)` pairs —
-/// the scenario-calibration check that memory binds first.
+/// the scenario-calibration check that memory binds first. One sweep over
+/// the sorted arrivals and departures, departures first at equal ticks
+/// (intervals are half-open), so O(n log n).
 pub fn peak_pressure<const D: usize>(inst: &GInstance<VSize<D>>) -> Vec<(u64, u64)> {
     let cap = inst.capacity();
+    // (tick, arrives, item): `false < true` puts departures first.
+    let mut events: Vec<(u64, bool, usize)> = inst
+        .items()
+        .iter()
+        .enumerate()
+        .flat_map(|(i, r)| [(r.arrival.0, true, i), (r.departure.0, false, i)])
+        .collect();
+    events.sort_unstable_by_key(|&(t, arrives, _)| (t, arrives));
+    let mut level = [0u64; D];
     let mut peak = [0u64; D];
-    for &t in &dbp_core::events::event_ticks(inst) {
-        let mut level = [0u64; D];
-        for id in inst.active_at(t) {
-            let it = inst.item(id);
-            for (l, &s) in level.iter_mut().zip(&it.size.0) {
-                *l += s;
+    for (_, arrives, i) in events {
+        let size = inst.items()[i].size.0;
+        for d in 0..D {
+            if arrives {
+                level[d] += size[d];
+                peak[d] = peak[d].max(level[d]);
+            } else {
+                level[d] -= size[d];
             }
-        }
-        for (p, &l) in peak.iter_mut().zip(&level) {
-            *p = (*p).max(l);
         }
     }
     (0..D).map(|d| (peak[d], cap.component(d))).collect()
@@ -243,6 +253,77 @@ mod tests {
             frac(MEM) > frac(GPU) && frac(MEM) > frac(CPU),
             "memory must bind first: {pressure:?}"
         );
+    }
+
+    /// The per-tick rescan `peak_pressure` replaced: O(events × items).
+    fn peak_pressure_by_rescan<const D: usize>(inst: &GInstance<VSize<D>>) -> Vec<(u64, u64)> {
+        let cap = inst.capacity();
+        let mut peak = [0u64; D];
+        for &t in &dbp_core::events::event_ticks(inst) {
+            let mut level = [0u64; D];
+            for id in inst.active_at(t) {
+                let it = inst.item(id);
+                for (l, &s) in level.iter_mut().zip(&it.size.0) {
+                    *l += s;
+                }
+            }
+            for (p, &l) in peak.iter_mut().zip(&level) {
+                *p = (*p).max(l);
+            }
+        }
+        (0..D).map(|d| (peak[d], cap.component(d))).collect()
+    }
+
+    fn random_instance<const D: usize>(seed: u64) -> GInstance<VSize<D>> {
+        use rand::{RngExt, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let n = rng.random_range(0..40usize);
+        let items = (0..n)
+            .map(|i| {
+                // Small tick range: many shared arrival/departure ticks.
+                let arrival = rng.random_range(0..12u64);
+                let departure = arrival + rng.random_range(1..6u64);
+                let mut size = [0u64; D];
+                for c in size.iter_mut() {
+                    *c = rng.random_range(1..=10u64);
+                }
+                dbp_core::item::GItem {
+                    id: dbp_core::item::ItemId(i as u32),
+                    arrival: dbp_core::time::Tick(arrival),
+                    departure: dbp_core::time::Tick(departure),
+                    size: VSize(size),
+                    region: dbp_core::item::RegionId::GLOBAL,
+                }
+            })
+            .collect();
+        GInstance::new(VSize([10; D]), items).unwrap()
+    }
+
+    #[test]
+    fn peak_pressure_sweep_matches_the_rescan() {
+        for seed in 0..200 {
+            let one = random_instance::<1>(seed);
+            assert_eq!(
+                peak_pressure(&one),
+                peak_pressure_by_rescan(&one),
+                "D=1 seed {seed}"
+            );
+            let two = random_instance::<2>(seed);
+            assert_eq!(
+                peak_pressure(&two),
+                peak_pressure_by_rescan(&two),
+                "D=2 seed {seed}"
+            );
+            let three = random_instance::<3>(seed);
+            assert_eq!(
+                peak_pressure(&three),
+                peak_pressure_by_rescan(&three),
+                "D=3 seed {seed}"
+            );
+        }
+        // The shipped scenario trace too.
+        let spike = launch_day_spike(42);
+        assert_eq!(peak_pressure(&spike), peak_pressure_by_rescan(&spike));
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! The build environment has no crates.io access, so this crate provides a
 //! simplified serialization framework with the same *spelling* as serde —
 //! `#[derive(Serialize, Deserialize)]`, `use serde::{Serialize, Deserialize}`
-//! — but a much smaller core: types convert to and from an owned JSON-like
-//! [`value::Value`] tree instead of driving a streaming Serializer. The
-//! only consumer in this workspace is `serde_json`, for which a value tree
-//! is a perfectly good intermediate representation.
+//! — but a much smaller core. Serialization renders an owned JSON-like
+//! [`value::Value`] tree. Deserialization is written once per type against
+//! [`de::Read`], a pull reader of JSON tokens: `serde_json` runs it directly
+//! over the input bytes, and [`Deserialize::from_value`] runs the same code
+//! over a [`Value`] through [`de::ValueReader`].
 //!
 //! Supported derive shapes (everything this workspace uses):
 //! * structs with named fields → JSON object;
@@ -14,23 +15,17 @@
 //! * tuple structs → JSON array;
 //! * enums with unit / newtype / struct variants → externally tagged,
 //!   exactly like real serde (`"Unit"`, `{"Newtype": v}`, `{"Struct": {..}}`).
+//!
+//! Objects accept their keys in any order, skip unknown keys, and keep the
+//! first of duplicate keys.
 
 pub use serde_derive::{Deserialize, Serialize};
 
+pub mod de;
 pub mod value;
 
+use de::{mismatch, Kind, Number, Read};
 pub use value::Value;
-
-/// Compatibility mirror of `serde::de` for code written against real serde.
-pub mod de {
-    /// Owned deserialization. The shim's [`Deserialize`](crate::Deserialize)
-    /// already produces owned values from a borrowed [`Value`](crate::Value)
-    /// tree, so this is a blanket-satisfied marker trait with the same
-    /// spelling as real serde's `de::DeserializeOwned`.
-    pub trait DeserializeOwned: crate::Deserialize {}
-
-    impl<T: crate::Deserialize> DeserializeOwned for T {}
-}
 
 /// Serialization/deserialization error: a message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,10 +52,16 @@ pub trait Serialize {
     fn to_value(&self) -> Value;
 }
 
-/// A type that can rebuild itself from a [`Value`] tree.
+/// A type that can rebuild itself from a token stream.
 pub trait Deserialize: Sized {
-    /// Convert from a value tree.
-    fn from_value(v: &Value) -> Result<Self, Error>;
+    /// Read one value from `r`.
+    fn deserialize<'de, R: Read<'de>>(r: &mut R) -> Result<Self, Error>;
+
+    /// Convert from a value tree: [`deserialize`](Deserialize::deserialize)
+    /// over a [`de::ValueReader`].
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        Self::deserialize(&mut de::ValueReader::new(v))
+    }
 }
 
 impl Serialize for Value {
@@ -70,8 +71,37 @@ impl Serialize for Value {
 }
 
 impl Deserialize for Value {
-    fn from_value(v: &Value) -> Result<Value, Error> {
-        Ok(v.clone())
+    fn deserialize<'de, R: Read<'de>>(r: &mut R) -> Result<Value, Error> {
+        Ok(match r.peek()? {
+            Kind::Null => {
+                r.null()?;
+                Value::Null
+            }
+            Kind::Bool => Value::Bool(r.bool()?),
+            Kind::Number => match r.number()? {
+                Number::UInt(u) => Value::UInt(u),
+                Number::Int(i) => Value::Int(i),
+                Number::Float(x) => Value::Float(x),
+            },
+            Kind::Str => Value::Str(r.str()?.into_owned()),
+            Kind::Seq => {
+                r.seq_begin()?;
+                let mut items = Vec::new();
+                while r.seq_next()? {
+                    items.push(Value::deserialize(r)?);
+                }
+                Value::Seq(items)
+            }
+            Kind::Map => {
+                r.map_begin()?;
+                let mut entries = Vec::new();
+                while let Some(key) = r.map_next_key()? {
+                    let key = key.into_owned();
+                    entries.push((key, Value::deserialize(r)?));
+                }
+                Value::Map(entries)
+            }
+        })
     }
 }
 
@@ -82,14 +112,8 @@ impl Serialize for bool {
 }
 
 impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<bool, Error> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            other => Err(Error::custom(format!(
-                "expected bool, got {}",
-                other.kind()
-            ))),
-        }
+    fn deserialize<'de, R: Read<'de>>(r: &mut R) -> Result<bool, Error> {
+        r.bool()
     }
 }
 
@@ -101,15 +125,15 @@ macro_rules! impl_uint {
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<$t, Error> {
-                let raw: u128 = match v {
-                    Value::UInt(u) => *u,
-                    Value::Int(i) if *i >= 0 => *i as u128,
-                    other => {
-                        return Err(Error::custom(format!(
-                            "expected unsigned integer, got {}",
-                            other.kind()
-                        )))
+            fn deserialize<'de, R: Read<'de>>(r: &mut R) -> Result<$t, Error> {
+                let raw: u128 = match r.number()? {
+                    Number::UInt(u) => u,
+                    Number::Int(i) if i >= 0 => i as u128,
+                    Number::Int(_) => {
+                        return Err(Error::custom("expected unsigned integer, got negative integer"))
+                    }
+                    Number::Float(_) => {
+                        return Err(Error::custom("expected unsigned integer, got number"))
                     }
                 };
                 <$t>::try_from(raw)
@@ -129,17 +153,12 @@ macro_rules! impl_int {
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<$t, Error> {
-                let raw: i128 = match v {
-                    Value::Int(i) => *i,
-                    Value::UInt(u) => i128::try_from(*u)
+            fn deserialize<'de, R: Read<'de>>(r: &mut R) -> Result<$t, Error> {
+                let raw: i128 = match r.number()? {
+                    Number::Int(i) => i,
+                    Number::UInt(u) => i128::try_from(u)
                         .map_err(|_| Error::custom("unsigned integer out of i128 range"))?,
-                    other => {
-                        return Err(Error::custom(format!(
-                            "expected integer, got {}",
-                            other.kind()
-                        )))
-                    }
+                    Number::Float(_) => return Err(Error::custom("expected integer, got number")),
                 };
                 <$t>::try_from(raw)
                     .map_err(|_| Error::custom(format!("integer {raw} out of range for {}", stringify!($t))))
@@ -157,16 +176,12 @@ impl Serialize for f64 {
 }
 
 impl Deserialize for f64 {
-    fn from_value(v: &Value) -> Result<f64, Error> {
-        match v {
-            Value::Float(x) => Ok(*x),
-            Value::UInt(u) => Ok(*u as f64),
-            Value::Int(i) => Ok(*i as f64),
-            other => Err(Error::custom(format!(
-                "expected number, got {}",
-                other.kind()
-            ))),
-        }
+    fn deserialize<'de, R: Read<'de>>(r: &mut R) -> Result<f64, Error> {
+        Ok(match r.number()? {
+            Number::Float(x) => x,
+            Number::UInt(u) => u as f64,
+            Number::Int(i) => i as f64,
+        })
     }
 }
 
@@ -177,8 +192,8 @@ impl Serialize for f32 {
 }
 
 impl Deserialize for f32 {
-    fn from_value(v: &Value) -> Result<f32, Error> {
-        f64::from_value(v).map(|x| x as f32)
+    fn deserialize<'de, R: Read<'de>>(r: &mut R) -> Result<f32, Error> {
+        f64::deserialize(r).map(|x| x as f32)
     }
 }
 
@@ -189,14 +204,8 @@ impl Serialize for String {
 }
 
 impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<String, Error> {
-        match v {
-            Value::Str(s) => Ok(s.clone()),
-            other => Err(Error::custom(format!(
-                "expected string, got {}",
-                other.kind()
-            ))),
-        }
+    fn deserialize<'de, R: Read<'de>>(r: &mut R) -> Result<String, Error> {
+        r.str().map(|s| s.into_owned())
     }
 }
 
@@ -219,14 +228,13 @@ impl<T: Serialize> Serialize for Vec<T> {
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Vec<T>, Error> {
-        match v {
-            Value::Seq(items) => items.iter().map(T::from_value).collect(),
-            other => Err(Error::custom(format!(
-                "expected array, got {}",
-                other.kind()
-            ))),
+    fn deserialize<'de, R: Read<'de>>(r: &mut R) -> Result<Vec<T>, Error> {
+        r.seq_begin()?;
+        let mut items = Vec::new();
+        while r.seq_next()? {
+            items.push(T::deserialize(r)?);
         }
+        Ok(items)
     }
 }
 
@@ -246,10 +254,12 @@ impl<T: Serialize> Serialize for Option<T> {
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Option<T>, Error> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
+    fn deserialize<'de, R: Read<'de>>(r: &mut R) -> Result<Option<T>, Error> {
+        if r.peek()? == Kind::Null {
+            r.null()?;
+            Ok(None)
+        } else {
+            T::deserialize(r).map(Some)
         }
     }
 }
@@ -261,9 +271,41 @@ impl<T: Serialize> Serialize for Box<T> {
 }
 
 impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_value(v: &Value) -> Result<Box<T>, Error> {
-        T::from_value(v).map(Box::new)
+    fn deserialize<'de, R: Read<'de>>(r: &mut R) -> Result<Box<T>, Error> {
+        T::deserialize(r).map(Box::new)
     }
+}
+
+/// Read an array of exactly `len` elements, one `element(i)` call each —
+/// the body of every tuple-shaped `Deserialize` (derived tuple structs and
+/// variants included). `what` names the type in the length error.
+pub fn read_tuple<'de, R: Read<'de>>(
+    r: &mut R,
+    len: usize,
+    what: &str,
+    mut element: impl FnMut(&mut R, usize) -> Result<(), Error>,
+) -> Result<(), Error> {
+    let kind = r.peek()?;
+    if kind != Kind::Seq {
+        return Err(mismatch(&format!("array of length {len} for {what}"), kind));
+    }
+    r.seq_begin()?;
+    let mut n = 0;
+    while r.seq_next()? {
+        if n >= len {
+            return Err(Error::custom(format!(
+                "expected array of length {len} for {what}, got a longer one"
+            )));
+        }
+        element(r, n)?;
+        n += 1;
+    }
+    if n != len {
+        return Err(Error::custom(format!(
+            "expected array of length {len} for {what}, got length {n}"
+        )));
+    }
+    Ok(())
 }
 
 macro_rules! impl_tuple {
@@ -274,18 +316,17 @@ macro_rules! impl_tuple {
             }
         }
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(v: &Value) -> Result<Self, Error> {
+            fn deserialize<'de, RD: Read<'de>>(r: &mut RD) -> Result<Self, Error> {
                 const LEN: usize = 0 $(+ { let _ = $idx; 1 })+;
-                match v {
-                    Value::Seq(items) if items.len() == LEN => {
-                        Ok(($($name::from_value(&items[$idx])?,)+))
-                    }
-                    Value::Seq(items) => Err(Error::custom(format!(
-                        "expected array of length {LEN}, got length {}",
-                        items.len()
-                    ))),
-                    other => Err(Error::custom(format!("expected array, got {}", other.kind()))),
-                }
+                #[allow(non_snake_case)]
+                let ($(mut $name,)+) = ($(Option::<$name>::None,)+);
+                read_tuple(r, LEN, "tuple", |r, i| {
+                    $(if i == $idx {
+                        $name = Some($name::deserialize(r)?);
+                    })+
+                    Ok(())
+                })?;
+                Ok(($($name.expect("read_tuple reads every element"),)+))
             }
         }
     )*};
@@ -324,5 +365,22 @@ mod tests {
     fn out_of_range_integers_error() {
         assert!(u8::from_value(&300u64.to_value()).is_err());
         assert!(u64::from_value(&(-1i64).to_value()).is_err());
+    }
+
+    #[test]
+    fn tuples_check_their_length() {
+        let short = Value::Seq(vec![Value::UInt(1)]);
+        assert!(<(u64, u64)>::from_value(&short).is_err());
+        let long = Value::Seq(vec![Value::UInt(1), Value::UInt(2), Value::UInt(3)]);
+        assert!(<(u64, u64)>::from_value(&long).is_err());
+    }
+
+    #[test]
+    fn value_round_trips_through_its_own_reader() {
+        let v = Value::Map(vec![
+            ("a".into(), Value::Seq(vec![Value::Int(-1), Value::Null])),
+            ("a".into(), Value::Bool(true)),
+        ]);
+        assert_eq!(Value::from_value(&v).unwrap(), v);
     }
 }

@@ -22,19 +22,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// Human name of the variant, for error messages.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::UInt(_) | Value::Int(_) => "integer",
-            Value::Float(_) => "number",
-            Value::Str(_) => "string",
-            Value::Seq(_) => "array",
-            Value::Map(_) => "object",
-        }
-    }
-
     /// The object entries, if this is an object.
     pub fn as_map(&self) -> Option<&[(String, Value)]> {
         match self {
@@ -82,10 +69,5 @@ impl Value {
     pub fn get(&self, key: &str) -> Option<&Value> {
         self.as_map()
             .and_then(|m| m.iter().find(|(k, _)| k == key).map(|(_, v)| v))
-    }
-
-    /// Whether this is an object.
-    pub fn is_object(&self) -> bool {
-        matches!(self, Value::Map(_))
     }
 }

@@ -12,6 +12,12 @@
 //!   parameter is bounded by `::serde::Serialize` / `::serde::Deserialize`
 //!   in the generated impl, on top of any bounds declared on the item.
 //!
+//! `Serialize` renders a `serde::Value` tree. `Deserialize` is one
+//! implementation per type, written against the pull reader
+//! `serde::de::Read`: objects take their keys in any order, skip unknown
+//! keys, keep the first of duplicate keys, and default absent
+//! `#[serde(default)]` fields.
+//!
 //! Where-clauses remain unsupported and the macro panics with a clear
 //! message if it meets a shape it cannot handle, so failures are loud,
 //! not silent.
@@ -45,6 +51,8 @@ enum Shape {
 /// One named field plus the serde attributes this shim honors.
 struct Field {
     name: String,
+    /// The field's type, as source text.
+    ty: String,
     /// `#[serde(default)]`: absent keys deserialize to `Default::default()`.
     default: bool,
     /// `#[serde(skip_serializing_if = "path")]`: the entry is omitted when
@@ -72,7 +80,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         .expect("serde shim: generated Serialize impl did not parse")
 }
 
-/// Derive `serde::Deserialize` (value-tree based).
+/// Derive `serde::Deserialize` (over the `serde::de::Read` token reader).
 #[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
@@ -349,6 +357,7 @@ fn parse_named_fields(ts: TokenStream) -> Vec<Field> {
         // Consume the type: everything until a comma at angle-bracket depth 0.
         // Parenthesised/bracketed sub-parts are single Group tokens, so only
         // `<`/`>` need explicit depth tracking.
+        let ty_start = i;
         let mut angle_depth = 0i32;
         while i < tokens.len() {
             match &tokens[i] {
@@ -359,9 +368,11 @@ fn parse_named_fields(ts: TokenStream) -> Vec<Field> {
             }
             i += 1;
         }
+        let ty = tokens_text(&tokens[ty_start..i]);
         i += 1; // past the comma (or end)
         fields.push(Field {
             name: field,
+            ty,
             default: attrs.default,
             skip_if: attrs.skip_if,
         });
@@ -434,48 +445,77 @@ fn map_entry(key: &str, value_expr: &str) -> String {
     format!("(::std::string::String::from(\"{key}\"), {value_expr})")
 }
 
-fn missing_field(owner: &str, field: &str) -> String {
+/// Body reading an object into `ctor { fields }`: keys in any order,
+/// unknown keys skipped, the first of duplicate keys kept, absent
+/// `#[serde(default)]` fields defaulted and other absent fields an error.
+/// Evaluates to `Result<Self, Error>`.
+fn named_fields_body(owner: &str, ctor: &str, fields: &[Field]) -> String {
+    let mut decls = String::new();
+    let mut arms = String::new();
+    let mut inits = Vec::new();
+    for (i, f) in fields.iter().enumerate() {
+        let (n, ty) = (&f.name, &f.ty);
+        decls.push_str(&format!(
+            "let mut __f{i}: ::std::option::Option<{ty}> = ::std::option::Option::None;\n"
+        ));
+        arms.push_str(&format!(
+            "\"{n}\" if __f{i}.is_none() => {{ __f{i} = ::std::option::Option::Some(\
+             ::serde::Deserialize::deserialize(__r)?); }}\n"
+        ));
+        inits.push(if f.default {
+            format!("{n}: __f{i}.unwrap_or_default()")
+        } else {
+            format!(
+                "{n}: match __f{i} {{ ::std::option::Option::Some(__x) => __x, \
+                 ::std::option::Option::None => return ::std::result::Result::Err(\
+                 ::serde::Error::custom(\"missing field `{n}` in {owner}\")) }}"
+            )
+        });
+    }
     format!(
-        "__v.get(\"{field}\").ok_or_else(|| ::serde::Error::custom(\
-         \"missing field `{field}` in {owner}\"))?"
+        "{{\n\
+         let __k = ::serde::de::Read::peek(__r)?;\n\
+         if __k != ::serde::de::Kind::Map {{\n\
+         return ::std::result::Result::Err(::serde::de::mismatch(\"object for {owner}\", __k));\n\
+         }}\n\
+         ::serde::de::Read::map_begin(__r)?;\n\
+         {decls}\
+         while let ::std::option::Option::Some(__key) = ::serde::de::Read::map_next_key(__r)? {{\n\
+         match &*__key {{\n\
+         {arms}\
+         _ => ::serde::de::Read::skip(__r)?,\n\
+         }}\n\
+         }}\n\
+         ::std::result::Result::Ok({ctor} {{ {} }})\n\
+         }}",
+        inits.join(", ")
     )
 }
 
-/// Initializer expression for one named struct field. `#[serde(default)]`
-/// fields tolerate an absent key (and a `null`, so omitted `Option`s
-/// round-trip) instead of erroring.
-fn named_field_init(owner: &str, f: &Field) -> String {
-    let n = &f.name;
-    if f.default {
-        format!(
-            "{n}: match __v.get(\"{n}\") {{\
-             ::std::option::Option::Some(__x) => ::serde::Deserialize::from_value(__x)?,\
-             ::std::option::Option::None => ::std::default::Default::default() }}"
-        )
-    } else {
-        format!(
-            "{n}: ::serde::Deserialize::from_value({})?",
-            missing_field(owner, n)
-        )
-    }
-}
-
-/// Same as [`named_field_init`], against the enum payload `__inner`.
-fn variant_field_init(owner: &str, f: &Field) -> String {
-    let n = &f.name;
-    if f.default {
-        format!(
-            "{n}: match __inner.get(\"{n}\") {{\
-             ::std::option::Option::Some(__x) => ::serde::Deserialize::from_value(__x)?,\
-             ::std::option::Option::None => ::std::default::Default::default() }}"
-        )
-    } else {
-        format!(
-            "{n}: ::serde::Deserialize::from_value(\
-             __inner.get(\"{n}\").ok_or_else(|| ::serde::Error::custom(\
-             \"missing field `{n}` in {owner}\"))?)?"
-        )
-    }
+/// Body reading an array of exactly `n` elements into `ctor(..)`.
+fn tuple_body(owner: &str, ctor: &str, n: usize) -> String {
+    let decls: String = (0..n)
+        .map(|i| format!("let mut __f{i} = ::std::option::Option::None;\n"))
+        .collect();
+    let reads: String = (0..n)
+        .map(|i| {
+            format!(
+                "if __i == {i} {{ __f{i} = ::std::option::Option::Some(\
+                 ::serde::Deserialize::deserialize(__r)?); }}\n"
+            )
+        })
+        .collect();
+    let inits: Vec<String> = (0..n)
+        .map(|i| format!("__f{i}.expect(\"read_tuple reads every element\")"))
+        .collect();
+    format!(
+        "{{\n{decls}\
+         ::serde::read_tuple(__r, {n}, \"{owner}\", |__r, __i| {{\n{reads}\
+         ::std::result::Result::Ok(()) }})?;\n\
+         ::std::result::Result::Ok({ctor}({}))\n\
+         }}",
+        inits.join(", ")
+    )
 }
 
 fn gen_serialize(item: &Item) -> String {
@@ -593,43 +633,21 @@ fn gen_deserialize(item: &Item) -> String {
     let body = match &item.shape {
         Shape::Named(fields) if item.transparent && fields.len() == 1 => {
             format!(
-                "::std::result::Result::Ok({name} {{ {}: ::serde::Deserialize::from_value(__v)? }})",
+                "::std::result::Result::Ok({name} {{ {}: ::serde::Deserialize::deserialize(__r)? }})",
                 fields[0].name
             )
         }
         Shape::Tuple(1) if item.transparent => {
-            format!("::std::result::Result::Ok({name}(::serde::Deserialize::from_value(__v)?))")
+            format!("::std::result::Result::Ok({name}(::serde::Deserialize::deserialize(__r)?))")
         }
-        Shape::Named(fields) => {
-            let inits: Vec<String> = fields.iter().map(|f| named_field_init(name, f)).collect();
-            format!(
-                "if !__v.is_object() {{\n\
-                 return ::std::result::Result::Err(::serde::Error::custom(\
-                 ::std::format!(\"expected object for {name}, got {{}}\", __v.kind())));\n\
-                 }}\n\
-                 ::std::result::Result::Ok({name} {{ {} }})",
-                inits.join(", ")
-            )
-        }
-        Shape::Tuple(n) => {
-            let inits: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Deserialize::from_value(&__items[{i}])?"))
-                .collect();
-            format!(
-                "match __v {{\n\
-                 ::serde::Value::Seq(__items) if __items.len() == {n} => \
-                 ::std::result::Result::Ok({name}({})),\n\
-                 __other => ::std::result::Result::Err(::serde::Error::custom(\
-                 ::std::format!(\"expected array of length {n} for {name}, got {{}}\", __other.kind()))),\n\
-                 }}",
-                inits.join(", ")
-            )
-        }
+        Shape::Named(fields) => named_fields_body(name, name, fields),
+        Shape::Tuple(n) => tuple_body(name, name, *n),
         Shape::Unit => {
             format!(
-                "match __v.as_str() {{\n\
-                 ::std::option::Option::Some(\"{name}\") => ::std::result::Result::Ok({name}),\n\
-                 _ => ::std::result::Result::Err(::serde::Error::custom(\"expected \\\"{name}\\\"\")),\n\
+                "if ::serde::de::Read::str(__r)? == \"{name}\" {{\n\
+                 ::std::result::Result::Ok({name})\n\
+                 }} else {{\n\
+                 ::std::result::Result::Err(::serde::Error::custom(\"expected \\\"{name}\\\"\"))\n\
                  }}"
             )
         }
@@ -638,62 +656,67 @@ fn gen_deserialize(item: &Item) -> String {
             let mut payload_arms = String::new();
             for v in variants {
                 let vn = &v.name;
+                let ctor = format!("{name}::{vn}");
                 match &v.shape {
                     VariantShape::Unit => {
-                        unit_arms.push_str(&format!(
-                            "\"{vn}\" => ::std::result::Result::Ok({name}::{vn}),\n"
-                        ));
+                        unit_arms
+                            .push_str(&format!("\"{vn}\" => ::std::result::Result::Ok({ctor}),\n"));
                     }
                     VariantShape::Tuple(1) => {
                         payload_arms.push_str(&format!(
-                            "\"{vn}\" => ::std::result::Result::Ok(\
-                             {name}::{vn}(::serde::Deserialize::from_value(__inner)?)),\n"
+                            "\"{vn}\" => {ctor}(::serde::Deserialize::deserialize(__r)?),\n"
                         ));
                     }
                     VariantShape::Tuple(n) => {
-                        let inits: Vec<String> = (0..*n)
-                            .map(|i| format!("::serde::Deserialize::from_value(&__items[{i}])?"))
-                            .collect();
                         payload_arms.push_str(&format!(
-                            "\"{vn}\" => match __inner {{\n\
-                             ::serde::Value::Seq(__items) if __items.len() == {n} => \
-                             ::std::result::Result::Ok({name}::{vn}({})),\n\
-                             _ => ::std::result::Result::Err(::serde::Error::custom(\
-                             \"bad payload for variant `{vn}` of {name}\")),\n\
-                             }},\n",
-                            inits.join(", ")
+                            "\"{vn}\" => {{ let __x: ::std::result::Result<Self, ::serde::Error> = {}; __x? }},\n",
+                            tuple_body(&ctor, &ctor, *n)
                         ));
                     }
                     VariantShape::Named(fields) => {
-                        let owner = format!("{name}::{vn}");
-                        let inits: Vec<String> = fields
-                            .iter()
-                            .map(|f| variant_field_init(&owner, f))
-                            .collect();
                         payload_arms.push_str(&format!(
-                            "\"{vn}\" => ::std::result::Result::Ok({name}::{vn} {{ {} }}),\n",
-                            inits.join(", ")
+                            "\"{vn}\" => {{ let __x: ::std::result::Result<Self, ::serde::Error> = {}; __x? }},\n",
+                            named_fields_body(&ctor, &ctor, fields)
                         ));
                     }
                 }
             }
+            let map_arm = if payload_arms.is_empty() {
+                format!(
+                    "::serde::de::Kind::Map => ::std::result::Result::Err(::serde::Error::custom(\
+                     \"expected a {name} variant name, got an object\")),\n"
+                )
+            } else {
+                format!(
+                    "::serde::de::Kind::Map => {{\n\
+                 ::serde::de::Read::map_begin(__r)?;\n\
+                 let __key = match ::serde::de::Read::map_next_key(__r)? {{\n\
+                 ::std::option::Option::Some(__key) => __key,\n\
+                 ::std::option::Option::None => return ::std::result::Result::Err(\
+                 ::serde::Error::custom(\"expected {name} variant, got an empty object\")),\n\
+                 }};\n\
+                 let __value = match &*__key {{\n\
+                 {payload_arms}\
+                 __other => return ::std::result::Result::Err(::serde::Error::custom(\
+                 ::std::format!(\"unknown variant `{{}}` of {name}\", __other))),\n\
+                 }};\n\
+                 if ::serde::de::Read::map_next_key(__r)?.is_some() {{\n\
+                 return ::std::result::Result::Err(::serde::Error::custom(\
+                 \"expected {name} variant, got an object with several keys\"));\n\
+                 }}\n\
+                 ::std::result::Result::Ok(__value)\n\
+                 }},\n"
+                )
+            };
             format!(
-                "match __v {{\n\
-                 ::serde::Value::Str(__s) => match __s.as_str() {{\n\
+                "match ::serde::de::Read::peek(__r)? {{\n\
+                 ::serde::de::Kind::Str => match &*::serde::de::Read::str(__r)? {{\n\
                  {unit_arms}\
                  __other => ::std::result::Result::Err(::serde::Error::custom(\
                  ::std::format!(\"unknown variant `{{}}` of {name}\", __other))),\n\
                  }},\n\
-                 ::serde::Value::Map(__entries) if __entries.len() == 1 => {{\n\
-                 let (__key, __inner) = &__entries[0];\n\
-                 match __key.as_str() {{\n\
-                 {payload_arms}\
-                 __other => ::std::result::Result::Err(::serde::Error::custom(\
-                 ::std::format!(\"unknown variant `{{}}` of {name}\", __other))),\n\
-                 }}\n\
-                 }},\n\
-                 __other => ::std::result::Result::Err(::serde::Error::custom(\
-                 ::std::format!(\"expected {name} variant, got {{}}\", __other.kind()))),\n\
+                 {map_arm}\
+                 __k => ::std::result::Result::Err(::serde::de::mismatch(\"{name} variant\", __k)),\n\
                  }}"
             )
         }
@@ -701,7 +724,8 @@ fn gen_deserialize(item: &Item) -> String {
     let (ig, tg) = generics_strings(item, "::serde::Deserialize");
     format!(
         "impl{ig} ::serde::Deserialize for {name}{tg} {{\n\
-         fn from_value(__v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n\
+         fn deserialize<'__de, __R: ::serde::de::Read<'__de>>(__r: &mut __R) \
+         -> ::std::result::Result<Self, ::serde::Error> {{\n\
          {body}\n\
          }}\n\
          }}"

@@ -1,12 +1,16 @@
 //! Offline stand-in for `serde_json`.
 //!
-//! Works against the shim `serde`'s [`Value`] tree: serialization renders
-//! the tree as JSON text, deserialization parses JSON text into a tree and
-//! hands it to `Deserialize::from_value`. Covers the subset this workspace
-//! uses: `to_string`, `to_string_pretty`, `to_writer`, `from_str`,
-//! `from_reader`, and the `Value` type itself.
+//! Serialization renders the shim `serde`'s [`Value`] tree as JSON text.
+//! Deserialization runs the target type's `Deserialize` directly over the
+//! input bytes through a pull reader ([`serde::de::Read`]) that borrows keys
+//! and unescaped strings from the input, so no tree is built unless the
+//! caller asks for a [`Value`]. Covers the subset this workspace uses:
+//! `to_string`, `to_string_pretty`, `to_writer`, `from_str`, `from_reader`,
+//! and the `Value` type itself.
 
+use serde::de::{mismatch, Kind, Number, Read};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 pub use serde::Value;
 
@@ -154,8 +158,21 @@ fn write_escaped(out: &mut String, s: &str) {
 
 /// Deserialize a value of type `T` from a JSON string.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
-    let value = parse_value_complete(s)?;
-    Ok(T::from_value(&value)?)
+    let mut p = Parser {
+        bytes: s.as_bytes(),
+        src: s,
+        pos: 0,
+        fresh: false,
+    };
+    let value = T::deserialize(&mut p)?;
+    p.skip_ws();
+    if p.pos != p.bytes.len() {
+        return Err(Error::new(format!(
+            "trailing characters at byte {} of JSON input",
+            p.pos
+        )));
+    }
+    Ok(value)
 }
 
 /// Deserialize a value of type `T` from an IO reader.
@@ -165,35 +182,26 @@ pub fn from_reader<R: std::io::Read, T: Deserialize>(mut reader: R) -> Result<T>
     from_str(&buf)
 }
 
-fn parse_value_complete(s: &str) -> Result<Value> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error::new(format!(
-            "trailing characters at byte {} of JSON input",
-            p.pos
-        )));
-    }
-    Ok(v)
-}
+type DeResult<T> = std::result::Result<T, serde::Error>;
 
+/// [`Read`] over JSON text.
 struct Parser<'a> {
     bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
+    /// Just entered a container: its first element or key takes no comma.
+    /// Every `seq_next`/`map_next_key` clears it, so once a nested
+    /// container is left the enclosing one expects a comma again.
+    fresh: bool,
 }
 
 impl<'a> Parser<'a> {
-    fn peek(&self) -> Option<u8> {
+    fn peek_byte(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
-        let b = self.peek();
+        let b = self.peek_byte();
         if b.is_some() {
             self.pos += 1;
         }
@@ -201,124 +209,58 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.peek_byte(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
-    fn expect(&mut self, b: u8) -> Result<()> {
+    fn expect(&mut self, b: u8) -> DeResult<()> {
         match self.bump() {
             Some(got) if got == b => Ok(()),
-            Some(got) => Err(Error::new(format!(
+            Some(got) => Err(serde::Error::custom(format!(
                 "expected `{}` at byte {}, got `{}`",
                 b as char,
                 self.pos - 1,
                 got as char
             ))),
-            None => Err(Error::new(format!(
+            None => Err(serde::Error::custom(format!(
                 "expected `{}`, got end of input",
                 b as char
             ))),
         }
     }
 
-    fn eat_keyword(&mut self, kw: &str) -> Result<()> {
+    fn eat_keyword(&mut self, kw: &str) -> DeResult<()> {
         if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
             self.pos += kw.len();
             Ok(())
         } else {
-            Err(Error::new(format!("invalid JSON at byte {}", self.pos)))
+            Err(serde::Error::custom(format!(
+                "invalid JSON at byte {}",
+                self.pos
+            )))
         }
     }
 
-    fn parse_value(&mut self) -> Result<Value> {
-        match self.peek() {
-            Some(b'n') => {
-                self.eat_keyword("null")?;
-                Ok(Value::Null)
-            }
-            Some(b't') => {
-                self.eat_keyword("true")?;
-                Ok(Value::Bool(true))
-            }
-            Some(b'f') => {
-                self.eat_keyword("false")?;
-                Ok(Value::Bool(false))
-            }
-            Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
-            Some(b'-') | Some(b'0'..=b'9') => self.parse_number(),
-            Some(other) => Err(Error::new(format!(
-                "unexpected character `{}` at byte {}",
-                other as char, self.pos
-            ))),
-            None => Err(Error::new("unexpected end of JSON input")),
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Value> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Seq(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(Value::Seq(items)),
-                _ => {
-                    return Err(Error::new(format!(
-                        "expected `,` or `]` at byte {}",
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Value> {
-        self.expect(b'{')?;
-        let mut entries = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Map(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.parse_value()?;
-            entries.push((key, value));
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(Value::Map(entries)),
-                _ => {
-                    return Err(Error::new(format!(
-                        "expected `,` or `}}` at byte {}",
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String> {
+    fn parse_string(&mut self) -> DeResult<Cow<'a, str>> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let start = self.pos;
+        // Fast path: no escapes, so the string is a slice of the input
+        // (its ends are ASCII quotes, hence char boundaries).
         loop {
             match self.bump() {
-                None => return Err(Error::new("unterminated string in JSON input")),
-                Some(b'"') => return Ok(out),
+                None => return Err(serde::Error::custom("unterminated string in JSON input")),
+                Some(b'"') => return Ok(Cow::Borrowed(&self.src[start..self.pos - 1])),
+                Some(b'\\') => break,
+                Some(_) => {}
+            }
+        }
+        let mut out = self.src[start..self.pos - 1].to_string();
+        self.pos -= 1;
+        loop {
+            match self.bump() {
+                None => return Err(serde::Error::custom("unterminated string in JSON input")),
+                Some(b'"') => return Ok(Cow::Owned(out)),
                 Some(b'\\') => match self.bump() {
                     Some(b'"') => out.push('"'),
                     Some(b'\\') => out.push('\\'),
@@ -337,61 +279,109 @@ impl<'a> Parser<'a> {
                             self.expect(b'u')?;
                             let low = self.parse_hex4()?;
                             if !(0xDC00..0xE000).contains(&low) {
-                                return Err(Error::new("invalid surrogate pair in JSON string"));
+                                return Err(serde::Error::custom(
+                                    "invalid surrogate pair in JSON string",
+                                ));
                             }
                             let combined = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
                             char::from_u32(combined)
-                                .ok_or_else(|| Error::new("invalid unicode escape"))?
+                                .ok_or_else(|| serde::Error::custom("invalid unicode escape"))?
                         } else {
                             char::from_u32(code)
-                                .ok_or_else(|| Error::new("invalid unicode escape"))?
+                                .ok_or_else(|| serde::Error::custom("invalid unicode escape"))?
                         };
                         out.push(c);
                     }
-                    _ => return Err(Error::new("invalid escape in JSON string")),
+                    _ => return Err(serde::Error::custom("invalid escape in JSON string")),
                 },
                 Some(b) if b < 0x80 => out.push(b as char),
                 Some(b) => {
-                    // Multi-byte UTF-8: the input came from a &str, so the
-                    // sequence is valid; re-decode it.
+                    // Multi-byte UTF-8: the input is a &str, so the
+                    // sequence is valid; copy it whole.
                     let start = self.pos - 1;
-                    let width = utf8_width(b);
-                    let end = start + width;
-                    if end > self.bytes.len() {
-                        return Err(Error::new("truncated UTF-8 in JSON string"));
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| Error::new("invalid UTF-8 in JSON string"))?;
-                    out.push_str(s);
+                    let end = start + utf8_width(b);
+                    out.push_str(&self.src[start..end]);
                     self.pos = end;
                 }
             }
         }
     }
 
-    fn parse_hex4(&mut self) -> Result<u32> {
+    fn parse_hex4(&mut self) -> DeResult<u32> {
         let mut code = 0u32;
         for _ in 0..4 {
             let b = self
                 .bump()
-                .ok_or_else(|| Error::new("truncated \\u escape in JSON string"))?;
+                .ok_or_else(|| serde::Error::custom("truncated \\u escape in JSON string"))?;
             let digit = (b as char)
                 .to_digit(16)
-                .ok_or_else(|| Error::new("invalid \\u escape in JSON string"))?;
+                .ok_or_else(|| serde::Error::custom("invalid \\u escape in JSON string"))?;
             code = code * 16 + digit;
         }
         Ok(code)
     }
+}
 
-    fn parse_number(&mut self) -> Result<Value> {
+impl<'a> Read<'a> for Parser<'a> {
+    fn peek(&mut self) -> DeResult<Kind> {
+        self.skip_ws();
+        match self.peek_byte() {
+            Some(b'n') => Ok(Kind::Null),
+            Some(b't' | b'f') => Ok(Kind::Bool),
+            Some(b'"') => Ok(Kind::Str),
+            Some(b'[') => Ok(Kind::Seq),
+            Some(b'{') => Ok(Kind::Map),
+            Some(b'-' | b'0'..=b'9') => Ok(Kind::Number),
+            Some(other) => Err(serde::Error::custom(format!(
+                "unexpected character `{}` at byte {}",
+                other as char, self.pos
+            ))),
+            None => Err(serde::Error::custom("unexpected end of JSON input")),
+        }
+    }
+
+    fn null(&mut self) -> DeResult<()> {
+        match self.peek()? {
+            Kind::Null => Ok(self.eat_keyword("null")?),
+            other => Err(mismatch("null", other)),
+        }
+    }
+
+    fn bool(&mut self) -> DeResult<bool> {
+        match self.peek()? {
+            Kind::Bool if self.peek_byte() == Some(b't') => {
+                self.eat_keyword("true")?;
+                Ok(true)
+            }
+            Kind::Bool => {
+                self.eat_keyword("false")?;
+                Ok(false)
+            }
+            other => Err(mismatch("bool", other)),
+        }
+    }
+
+    fn number(&mut self) -> DeResult<Number> {
+        let kind = self.peek()?;
+        if kind != Kind::Number {
+            return Err(mismatch("number", kind));
+        }
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        if self.peek_byte() == Some(b'-') {
             self.pos += 1;
         }
+        // Plain digits accumulate as they are scanned; anything else
+        // numeric marks a float and re-parses the text.
+        let mut acc: Option<u128> = Some(0);
         let mut is_float = false;
-        while let Some(b) = self.peek() {
+        while let Some(b) = self.peek_byte() {
             match b {
-                b'0'..=b'9' => self.pos += 1,
+                b'0'..=b'9' => {
+                    acc = acc
+                        .and_then(|a| a.checked_mul(10))
+                        .and_then(|a| a.checked_add((b - b'0') as u128));
+                    self.pos += 1;
+                }
                 b'.' | b'e' | b'E' | b'+' | b'-' => {
                     is_float = true;
                     self.pos += 1;
@@ -399,21 +389,96 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::new("invalid number in JSON input"))?;
-        if is_float {
-            text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| Error::new(format!("invalid number `{text}` in JSON input")))
+        let text = &self.src[start..self.pos];
+        let out = if is_float {
+            text.parse::<f64>().map(Number::Float).ok()
         } else if text.starts_with('-') {
-            text.parse::<i128>()
-                .map(Value::Int)
-                .map_err(|_| Error::new(format!("integer `{text}` out of range")))
+            text.parse::<i128>().map(Number::Int).ok()
         } else {
-            text.parse::<u128>()
-                .map(Value::UInt)
-                .map_err(|_| Error::new(format!("integer `{text}` out of range")))
+            acc.map(Number::UInt)
+        };
+        out.ok_or_else(|| {
+            serde::Error::custom(if is_float {
+                format!("invalid number `{text}` in JSON input")
+            } else {
+                format!("integer `{text}` out of range")
+            })
+        })
+    }
+
+    fn str(&mut self) -> DeResult<Cow<'a, str>> {
+        match self.peek()? {
+            Kind::Str => Ok(self.parse_string()?),
+            other => Err(mismatch("string", other)),
         }
+    }
+
+    fn seq_begin(&mut self) -> DeResult<()> {
+        match self.peek()? {
+            Kind::Seq => {
+                self.pos += 1;
+                self.fresh = true;
+                Ok(())
+            }
+            other => Err(mismatch("array", other)),
+        }
+    }
+
+    fn seq_next(&mut self) -> DeResult<bool> {
+        self.skip_ws();
+        let first = std::mem::replace(&mut self.fresh, false);
+        match self.peek_byte() {
+            Some(b']') => {
+                self.pos += 1;
+                Ok(false)
+            }
+            _ if first => Ok(true),
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            _ => Err(serde::Error::custom(format!(
+                "expected `,` or `]` at byte {}",
+                self.pos
+            ))),
+        }
+    }
+
+    fn map_begin(&mut self) -> DeResult<()> {
+        match self.peek()? {
+            Kind::Map => {
+                self.pos += 1;
+                self.fresh = true;
+                Ok(())
+            }
+            other => Err(mismatch("object", other)),
+        }
+    }
+
+    fn map_next_key(&mut self) -> DeResult<Option<Cow<'a, str>>> {
+        self.skip_ws();
+        let first = std::mem::replace(&mut self.fresh, false);
+        match self.peek_byte() {
+            Some(b'}') => {
+                self.pos += 1;
+                return Ok(None);
+            }
+            _ if first => {}
+            Some(b',') => {
+                self.pos += 1;
+                self.skip_ws();
+            }
+            _ => {
+                return Err(serde::Error::custom(format!(
+                    "expected `,` or `}}` at byte {}",
+                    self.pos
+                )))
+            }
+        }
+        let key = self.parse_string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        Ok(Some(key))
     }
 }
 

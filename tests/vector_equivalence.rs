@@ -28,8 +28,9 @@ use dbp_obs::{EventLog, GEventLog};
 use dbp_workloads::{lift_uniform, widen};
 use proptest::prelude::*;
 
-/// Every selector available on the vector roster, by the names
-/// `selector_for` resolves for both `Size` and `VSize<D>`.
+/// Every dimension-agnostic FF-family selector: the scanning FF/BF/MFF
+/// and their indexed twins (what the shipped names resolve to), each
+/// built by type so neither side depends on the name table.
 const SELECTORS: [&str; 6] = ["FF", "BF", "MFF(8)", "FF-idx", "BF-idx", "MFF-idx"];
 
 const ROUTERS: [Router; 3] = [
@@ -39,8 +40,18 @@ const ROUTERS: [Router; 3] = [
 ];
 
 fn selector<Sz: Demand>(name: &str) -> Box<dyn BinSelector<Sz>> {
-    dbp_core::algorithms::selector_for::<Sz>(name)
-        .unwrap_or_else(|| panic!("selector {name} missing from the vector roster"))
+    use dbp_core::algorithms::indexed::{GIndexedBestFit, GIndexedFirstFit, GIndexedMff};
+    use dbp_core::algorithms::{BestFit, DominanceFit, FirstFit, ModifiedFirstFit};
+    match name {
+        "FF" => Box::new(FirstFit::new()),
+        "BF" => Box::new(BestFit::new()),
+        "MFF(8)" => Box::new(ModifiedFirstFit::new(8)),
+        "FF-idx" => Box::new(GIndexedFirstFit::<Sz>::new()),
+        "BF-idx" => Box::new(GIndexedBestFit::<Sz>::new()),
+        "MFF-idx" => Box::new(GIndexedMff::<Sz>::new(8)),
+        "DOM" => Box::new(DominanceFit::new()),
+        other => panic!("no selector {other} in this suite"),
+    }
 }
 
 fn instances() -> impl Strategy<Value = Instance> {
