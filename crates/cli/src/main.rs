@@ -64,6 +64,7 @@ USAGE:
           [--run-manifest FILE.json]  # provenance + exact cost, for `recover`
   dbp cluster FILE --algo NAME --shards N [--router hash|affinity|least-loaded]
           [--hetero]                  # vector dispatch with per-dimension ledger
+                                      # (with --shard-faults too; --faults is scalar-only)
           [--batch event|whole|N] [--jobs N]   # shard workers (default 1; 0 = one per CPU)
           [--trace-events FILE.jsonl] [--metrics FILE.prom]
           [--faults SEED|PLAN.json]   # per-shard fault plans (seed+shard / shared plan)
@@ -72,6 +73,7 @@ USAGE:
           [--run-manifest FILE.json]  # merged provenance + exact aggregate cost
   dbp profile [FILE] [--algo NAME] [--shards N] [--router hash|affinity|least-loaded]
           [--batch event|whole|N] [--jobs N] [--items N] [--seed N]
+          [--hetero]                  # profile the 3-dimensional vector path
           [--shard-faults SEED|PLAN.json]  # profile the self-healing engine instead
           [--trace-out FILE.json]     # Chrome-trace JSON (chrome://tracing, Perfetto)
           [--metrics FILE.prom]       # per-stage latency histograms
@@ -532,6 +534,19 @@ fn paper_gaming_system(inst: &Instance) -> dbp_cloudsim::GamingSystem {
     dbp_cloudsim::GamingSystem::per_tick(inst.capacity().raw())
 }
 
+/// The `--fsync` policy of the `--journal` it tunes (default `always`: a
+/// crash loses at most the frame being written); an error when no journal
+/// is asked for.
+fn journal_fsync(args: &Args) -> Result<dbp_obs::FsyncPolicy, String> {
+    if args.has("fsync") && args.str_flag("journal").is_none() {
+        return Err("--fsync only makes sense with --journal FILE".into());
+    }
+    match args.str_flag("fsync") {
+        None => Ok(dbp_obs::FsyncPolicy::Always),
+        Some(spec) => dbp_obs::FsyncPolicy::parse(spec).map_err(|e| format!("--fsync: {e}")),
+    }
+}
+
 /// Optional write-ahead-journal leg of the run probe: `None` when
 /// `--journal` is absent, so the probe tuple composes without a separate
 /// code path per flag combination.
@@ -541,21 +556,14 @@ struct MaybeJournal {
 }
 
 impl MaybeJournal {
-    /// Open the journal named by `--journal`, honoring `--fsync`
-    /// (default `always`: a crash loses at most the frame being written).
+    /// Open the journal named by `--journal`, honoring `--fsync`.
     fn open(args: &Args) -> Result<MaybeJournal, String> {
+        let policy = journal_fsync(args)?;
         let Some(path) = args.str_flag("journal") else {
-            if args.has("fsync") {
-                return Err("--fsync only makes sense with --journal FILE".into());
-            }
             return Ok(MaybeJournal {
                 probe: None,
                 path: String::new(),
             });
-        };
-        let policy = match args.str_flag("fsync") {
-            None => dbp_obs::FsyncPolicy::Always,
-            Some(spec) => dbp_obs::FsyncPolicy::parse(spec).map_err(|e| format!("--fsync: {e}"))?,
         };
         let probe = dbp_obs::JournalProbe::create(std::path::Path::new(path), policy)
             .map_err(|e| format!("{path}: {e}"))?;
@@ -600,10 +608,7 @@ fn cmd_run_faults(
     sel: &mut dyn BinSelector,
     spec: &str,
 ) -> Result<(), String> {
-    let horizon = dbp_core::events::event_ticks(inst)
-        .last()
-        .map(|t| t.raw())
-        .unwrap_or(0);
+    let horizon = inst.last_departure().map_or(0, |t| t.raw());
     let plan = load_fault_plan(spec, horizon)?;
     let resilient = dbp_cloudsim::ResilientSystem::new(paper_gaming_system(inst), plan.clone());
     let observing = args.has("trace-events")
@@ -692,13 +697,13 @@ fn static_algo_name(name: &str) -> Option<&'static str> {
 }
 
 /// Parse a `--shard-faults` spec: a bare integer seeds a deterministic
-/// [`ShardFaultPlan`] sized to the instance (about two kills' worth of
-/// events per shard); anything that looks like a file loads an explicit
-/// plan JSON.
+/// [`ShardFaultPlan`] sized to the `items` of the instance (about two
+/// kills' worth of events per shard); anything that looks like a file
+/// loads an explicit plan JSON.
 fn load_shard_fault_plan(
     spec: &str,
     shards: usize,
-    inst: &dbp_core::instance::Instance,
+    items: usize,
 ) -> Result<dbp_cluster::ShardFaultPlan, String> {
     if spec.ends_with(".json") || std::path::Path::new(spec).exists() {
         let text = std::fs::read_to_string(spec).map_err(|e| format!("{spec}: {e}"))?;
@@ -709,13 +714,65 @@ fn load_shard_fault_plan(
             .map_err(|_| format!("--shard-faults expects a seed or a plan .json, got '{spec}'"))?;
         // Each shard sees ~2 events per item it serves; aim kill offsets
         // inside the live part of the stream.
-        let events_hint = (2 * inst.len() as u64 / shards.max(1) as u64).max(4);
+        let events_hint = (2 * items as u64 / shards.max(1) as u64).max(4);
         Ok(dbp_cluster::ShardFaultPlan::from_seed(
             seed,
             shards,
             events_hint,
         ))
     }
+}
+
+/// The scalar selector factory for a CLI algorithm name, validated up
+/// front (including the mff-mu µ `hint`, when the instance is known).
+fn scalar_factory(
+    algo: &str,
+    hint: Option<u64>,
+) -> Result<dbp_core::packer::SelectorFactory, String> {
+    let algo = static_algo_name(algo).ok_or_else(|| format!("unknown algorithm '{algo}'"))?;
+    selector_by_name(algo, hint)?;
+    Ok(dbp_core::packer::SelectorFactory::new(algo, move || {
+        selector_by_name(algo, hint).expect("algorithm name validated above")
+    }))
+}
+
+/// The `--hetero` selector factory for a CLI algorithm name, validated up
+/// front.
+fn hetero_factory(
+    algo: &str,
+) -> Result<dbp_core::packer::GSelectorFactory<VSize<HETERO_DIMS>>, String> {
+    let name = hetero_selector(algo)?.name();
+    let algo = algo.to_string();
+    Ok(dbp_core::packer::GSelectorFactory::new(name, move || {
+        hetero_selector(&algo).expect("algorithm name validated above")
+    }))
+}
+
+/// The report's algorithm label: the name, plus the dimensionality beyond
+/// one dimension.
+fn algorithm_label<Sz: Demand>(name: &str) -> String {
+    if Sz::DIMS > 1 {
+        format!("{name} ({}-dimensional)", Sz::DIMS)
+    } else {
+        name.to_string()
+    }
+}
+
+/// The `--shards`/`--router`/`--batch`/`--jobs` cluster shape shared by
+/// `cluster` and `profile`.
+fn parse_cluster_config(
+    args: &Args,
+    default_shards: u64,
+) -> Result<dbp_cluster::ClusterConfig, String> {
+    let shards = args.u64_flag_or("shards", default_shards)? as usize;
+    if shards == 0 {
+        return Err("--shards must be at least 1".into());
+    }
+    let mut config =
+        dbp_cluster::ClusterConfig::new(shards, parse_router(args)?).map_err(|e| e.to_string())?;
+    config.batch = parse_batch(args)?;
+    config.jobs = parse_jobs(args)?;
+    Ok(config)
 }
 
 /// `dbp cluster FILE --algo A --shards N --router R`: partition the request
@@ -727,193 +784,206 @@ fn load_shard_fault_plan(
 /// `--shard-faults` kills whole shards mid-run instead and self-heals them
 /// from their journals (seed or a `ShardFaultPlan` `.json`). `--hetero`
 /// widens the trace to the `[gpu, cpu, mem]` catalog and takes the same
-/// plain cluster path at three dimensions; the fault paths stay scalar.
+/// plain and self-healing paths at three dimensions; `--faults` stays
+/// scalar.
 fn cmd_cluster(args: &Args) -> Result<(), String> {
     let inst = load_instance(args, 1)?;
     let algo = args.str_flag("algo").unwrap_or("ff");
-    let shards = args.u64_flag_or("shards", 2)? as usize;
-    if shards == 0 {
-        return Err("--shards must be at least 1".into());
-    }
-    let router = parse_router(args)?;
-    let mut config = dbp_cluster::ClusterConfig::new(shards, router).map_err(|e| e.to_string())?;
-    config.batch = parse_batch(args)?;
-    config.jobs = parse_jobs(args)?;
+    let config = parse_cluster_config(args, 2)?;
 
     if args.has("hetero") {
         refuse_flags(
             args,
-            &["faults", "shard-faults"],
-            "fault injection and self-healing dispatch are scalar-only",
+            &["faults"],
+            "server fault injection is scalar-only (--shard-faults self-heals at any \
+             dimensionality)",
         )?;
         let inst = dbp_workloads::widen(&inst);
-        let name = hetero_selector(algo)?.name();
-        let algo = algo.to_string();
-        let factory = dbp_core::packer::GSelectorFactory::new(name, move || {
-            hetero_selector(&algo).expect("algorithm name validated above")
-        });
+        let factory = hetero_factory(algo)?;
         let system = dbp_cloudsim::GamingSystem::per_tick(inst.capacity().component(0));
         let engine = dbp_cluster::ClusterEngine::new(system, config);
-        return cluster_plain(args, &engine, &inst, &factory);
+        return cluster_at(args, &engine, &inst, &factory);
     }
 
-    let algo = static_algo_name(algo).ok_or_else(|| format!("unknown algorithm '{algo}'"))?;
     let engine = dbp_cluster::ClusterEngine::new(paper_gaming_system(&inst), config);
-    let hint = mu_hint(&inst);
-    selector_by_name(algo, hint)?; // validate (incl. the mff-mu µ hint) up front
-    let factory = dbp_core::packer::SelectorFactory::new(algo, move || {
-        selector_by_name(algo, hint).expect("algorithm name validated above")
-    });
-
-    if let Some(spec) = args.str_flag("shard-faults") {
-        if args.str_flag("faults").is_some() {
-            return Err(
-                "--faults and --shard-faults are mutually exclusive; pick one fault model".into(),
-            );
-        }
-        if args.str_flag("journal").is_some() {
-            return Err(
-                "--journal is not supported with --shard-faults: each shard keeps its own \
-                 in-memory journal for resurrection; use --trace-events for the merged stream"
-                    .into(),
-            );
-        }
-        let plan = load_shard_fault_plan(spec, shards, &inst)?;
-        let mut probe = (
-            args.has("trace-events").then(dbp_obs::EventLog::new),
-            args.has("metrics").then(dbp_obs::MetricsProbe::new),
-        );
-        let run = engine
-            .run_self_healing_probed(&inst, &factory, &plan, &mut probe)
-            .map_err(|e| e.to_string())?;
-        if let (Some(path), (Some(event_log), _)) = (args.str_flag("trace-events"), &probe) {
-            dbp_obs::export::write_jsonl(std::path::Path::new(path), event_log.events())
-                .map_err(|e| format!("{path}: {e}"))?;
-            println!("events saved to {path} ({} events)", event_log.len());
-        }
-        if let (Some(path), (_, Some(metrics_probe))) = (args.str_flag("metrics"), &probe) {
-            let mut merged = run.metrics();
-            merged.absorb_labeled(metrics_probe.registry(), "scope", "cluster");
-            dbp_obs::export::write_prometheus(std::path::Path::new(path), &merged)
-                .map_err(|e| format!("{path}: {e}"))?;
-            println!("metrics saved to {path}");
-        }
-        if let Some(path) = args.str_flag("run-manifest") {
-            dbp_obs::export::write_json(std::path::Path::new(path), &run.manifest)
-                .map_err(|e| format!("{path}: {e}"))?;
-            println!("manifest saved to {path}");
-        }
-        let r = &run.report;
-        println!("algorithm      : {}", r.algorithm);
-        println!("router         : {}", r.router);
-        println!("shards         : {}", r.shards);
-        println!("sessions       : {}", r.sessions_total);
-        println!("served         : {}", r.sessions_served);
-        println!("dropped        : {}", r.sessions_dropped);
-        println!("lost to kills  : {}", r.sessions_lost);
-        println!("rerouted       : {}", r.sessions_rerouted);
-        println!(
-            "ledger         : {}",
-            if r.conserved() {
-                "conserved"
-            } else {
-                "NOT CONSERVED"
-            }
-        );
-        println!("busy ticks     : {}", r.busy_ticks);
-        println!("billed ticks   : {}", r.billed_ticks);
-        println!("bill           : {:.2} USD", r.cost_cents.to_f64() / 100.0);
-        for h in &run.shards {
-            println!(
-                "  shard {:>2}     : {:<10} {}/{} served, {} lost, {} rerouted out, \
-                 {} hosted, {} kills, {} restarts",
-                h.shard,
-                h.health.name(),
-                h.sessions_served,
-                h.sessions_total,
-                h.sessions_lost,
-                h.sessions_rerouted_out,
-                h.sessions_rerouted_in,
-                h.kills,
-                h.restarts,
-            );
-            if let Some(reason) = &h.down_reason {
-                println!("                 down: {reason}");
-            }
-        }
-        // Mirror `dbp trace`'s shard-fault footer so greps work on both.
-        if r.shard_kills + r.shard_restarts + r.shards_lost > 0 {
-            println!(
-                "-- shards: {} kills, {} restarts, {} abandoned",
-                r.shard_kills, r.shard_restarts, r.shards_lost
-            );
-        }
-        return Ok(());
+    let factory = scalar_factory(algo, mu_hint(&inst))?;
+    match args.str_flag("faults") {
+        Some(spec) => cluster_faults(args, &engine, &inst, &factory, spec),
+        None => cluster_at(args, &engine, &inst, &factory),
     }
+}
 
+/// The cluster paths every dimensionality takes: self-healing under
+/// `--shard-faults`, the plain run otherwise.
+fn cluster_at<Sz: Demand>(
+    args: &Args,
+    engine: &dbp_cluster::ClusterEngine,
+    inst: &dbp_core::instance::GInstance<Sz>,
+    factory: &dbp_core::packer::GSelectorFactory<Sz>,
+) -> Result<(), String> {
+    match args.str_flag("shard-faults") {
+        Some(spec) => cluster_self_healing(args, engine, inst, factory, spec),
+        None => cluster_plain(args, engine, inst, factory),
+    }
+}
+
+/// `dbp cluster --shard-faults`: kill shards per the plan, self-heal them
+/// from their in-memory journals, and print the extended SLA ledger with
+/// per-shard health.
+fn cluster_self_healing<Sz: Demand>(
+    args: &Args,
+    engine: &dbp_cluster::ClusterEngine,
+    inst: &dbp_core::instance::GInstance<Sz>,
+    factory: &dbp_core::packer::GSelectorFactory<Sz>,
+    spec: &str,
+) -> Result<(), String> {
+    if args.str_flag("journal").is_some() {
+        return Err(
+            "--journal is not supported with --shard-faults: each shard keeps its own \
+             in-memory journal for resurrection; use --trace-events for the merged stream"
+                .into(),
+        );
+    }
+    journal_fsync(args)?; // refuses --fsync: there is no journal to tune
+    let plan = load_shard_fault_plan(spec, engine.config.shards, inst.len())?;
+    let mut probe = (
+        args.has("trace-events").then(dbp_obs::GEventLog::<Sz>::new),
+        args.has("metrics").then(dbp_obs::MetricsProbe::new),
+    );
+    let run = engine
+        .run_self_healing_probed(inst, factory, &plan, &mut probe)
+        .map_err(|e| e.to_string())?;
+    if let (Some(path), (Some(event_log), _)) = (args.str_flag("trace-events"), &probe) {
+        dbp_obs::export::write_jsonl(std::path::Path::new(path), event_log.events())
+            .map_err(|e| format!("{path}: {e}"))?;
+        println!("events saved to {path} ({} events)", event_log.len());
+    }
+    if let (Some(path), (_, Some(metrics_probe))) = (args.str_flag("metrics"), &probe) {
+        let mut merged = run.metrics();
+        merged.absorb_labeled(metrics_probe.registry(), "scope", "cluster");
+        dbp_obs::export::write_prometheus(std::path::Path::new(path), &merged)
+            .map_err(|e| format!("{path}: {e}"))?;
+        println!("metrics saved to {path}");
+    }
+    if let Some(path) = args.str_flag("run-manifest") {
+        dbp_obs::export::write_json(std::path::Path::new(path), &run.manifest)
+            .map_err(|e| format!("{path}: {e}"))?;
+        println!("manifest saved to {path}");
+    }
+    let r = &run.report;
+    println!("algorithm      : {}", algorithm_label::<Sz>(&r.algorithm));
+    println!("router         : {}", r.router);
+    println!("shards         : {}", r.shards);
+    println!("sessions       : {}", r.sessions_total);
+    println!("served         : {}", r.sessions_served);
+    println!("dropped        : {}", r.sessions_dropped);
+    println!("lost to kills  : {}", r.sessions_lost);
+    println!("rerouted       : {}", r.sessions_rerouted);
+    println!("ledger         : {}", ledger_verdict(r.conserved()));
+    println!("busy ticks     : {}", r.busy_ticks);
+    println!("billed ticks   : {}", r.billed_ticks);
+    println!("bill           : {:.2} USD", r.cost_cents.to_f64() / 100.0);
+    for h in &run.shards {
+        println!(
+            "  shard {:>2}     : {:<10} {}/{} served, {} lost, {} rerouted out, \
+             {} hosted, {} kills, {} restarts",
+            h.shard,
+            h.health.name(),
+            h.sessions_served,
+            h.sessions_total,
+            h.sessions_lost,
+            h.sessions_rerouted_out,
+            h.sessions_rerouted_in,
+            h.kills,
+            h.restarts,
+        );
+        if let Some(reason) = &h.down_reason {
+            println!("                 down: {reason}");
+        }
+    }
+    // Mirror `dbp trace`'s shard-fault footer so greps work on both.
+    if r.shard_kills + r.shard_restarts + r.shards_lost > 0 {
+        println!(
+            "-- shards: {} kills, {} restarts, {} abandoned",
+            r.shard_kills, r.shard_restarts, r.shards_lost
+        );
+    }
+    Ok(())
+}
+
+/// The `ledger :` verdict of a conservation check.
+fn ledger_verdict(conserved: bool) -> &'static str {
+    if conserved {
+        "conserved"
+    } else {
+        "NOT CONSERVED"
+    }
+}
+
+/// `dbp cluster --faults`: one server fault plan per shard through the
+/// scalar resilient dispatcher, with the cluster-wide SLA ledger.
+fn cluster_faults(
+    args: &Args,
+    engine: &dbp_cluster::ClusterEngine,
+    inst: &Instance,
+    factory: &dbp_core::packer::SelectorFactory,
+    spec: &str,
+) -> Result<(), String> {
+    if args.has("shard-faults") {
+        return Err(
+            "--faults and --shard-faults are mutually exclusive; pick one fault model".into(),
+        );
+    }
     let started = std::time::Instant::now();
-    if let Some(spec) = args.str_flag("faults") {
-        let horizon = dbp_core::events::event_ticks(&inst)
-            .last()
-            .map(|t| t.raw())
-            .unwrap_or(0);
-        let plans: Vec<dbp_cloudsim::FaultPlan> =
-            if spec.ends_with(".json") || std::path::Path::new(spec).exists() {
-                let plan = load_fault_plan(spec, horizon)?;
-                vec![plan; shards]
-            } else {
-                let seed: u64 = spec.parse().map_err(|_| {
-                    format!("--faults expects a seed or a plan .json, got '{spec}'")
-                })?;
-                (0..shards as u64)
-                    .map(|s| dbp_cloudsim::FaultPlan::from_seed(seed + s, horizon))
-                    .collect()
-            };
-        let mut pending = open_shard_probes::<Size>(args, shards)?.into_iter();
-        let (run, probes) = engine
-            .run_resilient_probed(&inst, &factory, &plans, |_| {
-                pending.next().expect("one probe per shard")
-            })
-            .map_err(|e| e.to_string())?;
-        let wall = started.elapsed();
-        drain_cluster_probes(args, probes, None, &[])?;
-        if let Some(path) = args.str_flag("run-manifest") {
-            // No single packing trace under faults, so no exact cost —
-            // mirrors `run --faults`.
-            let manifest = dbp_obs::RunManifest::capture(algo, None, &inst, wall);
-            dbp_obs::export::write_json(std::path::Path::new(path), &manifest)
-                .map_err(|e| format!("{path}: {e}"))?;
-            println!("manifest saved to {path}");
-        }
-        let r = &run.report;
-        println!("algorithm      : {}", r.algorithm);
-        println!("router         : {}", r.router);
-        println!("shards         : {}", r.shards);
-        println!("sessions       : {}", r.sessions_total);
-        println!("served         : {}", r.sessions_served);
-        println!("dropped        : {}", r.sessions_dropped);
-        println!("lost to crash  : {}", r.sessions_lost);
-        println!(
-            "ledger         : {}",
-            if r.conserved() {
-                "conserved"
-            } else {
-                "NOT CONSERVED"
-            }
-        );
-        println!("busy ticks     : {}", r.busy_ticks);
-        println!("billed ticks   : {}", r.billed_ticks);
-        println!("bill           : {:.2} USD", r.cost_cents.to_f64() / 100.0);
-        for (s, shard) in run.shards.iter().enumerate() {
-            println!(
-                "  shard {s:>2}     : {} sessions, {}/{} served, {} busy ticks",
-                shard.sessions_total, shard.sessions_served, shard.sessions_total, shard.busy_ticks
-            );
-        }
-        return Ok(());
+    let shards = engine.config.shards;
+    let horizon = inst.last_departure().map_or(0, |t| t.raw());
+    let plans: Vec<dbp_cloudsim::FaultPlan> =
+        if spec.ends_with(".json") || std::path::Path::new(spec).exists() {
+            let plan = load_fault_plan(spec, horizon)?;
+            vec![plan; shards]
+        } else {
+            let seed: u64 = spec
+                .parse()
+                .map_err(|_| format!("--faults expects a seed or a plan .json, got '{spec}'"))?;
+            (0..shards as u64)
+                .map(|s| dbp_cloudsim::FaultPlan::from_seed(seed + s, horizon))
+                .collect()
+        };
+    let mut pending = open_shard_probes::<Size>(args, shards)?.into_iter();
+    let (run, probes) = engine
+        .run_resilient_probed(inst, factory, &plans, |_| {
+            pending.next().expect("one probe per shard")
+        })
+        .map_err(|e| e.to_string())?;
+    let wall = started.elapsed();
+    drain_cluster_probes(args, probes, None, &[])?;
+    if let Some(path) = args.str_flag("run-manifest") {
+        // No single packing trace under faults, so no exact cost —
+        // mirrors `run --faults`.
+        let manifest = dbp_obs::RunManifest::capture(factory.name(), None, inst, wall);
+        dbp_obs::export::write_json(std::path::Path::new(path), &manifest)
+            .map_err(|e| format!("{path}: {e}"))?;
+        println!("manifest saved to {path}");
     }
-
-    cluster_plain(args, &engine, &inst, &factory)
+    let r = &run.report;
+    println!("algorithm      : {}", r.algorithm);
+    println!("router         : {}", r.router);
+    println!("shards         : {}", r.shards);
+    println!("sessions       : {}", r.sessions_total);
+    println!("served         : {}", r.sessions_served);
+    println!("dropped        : {}", r.sessions_dropped);
+    println!("lost to crash  : {}", r.sessions_lost);
+    println!("ledger         : {}", ledger_verdict(r.conserved()));
+    println!("busy ticks     : {}", r.busy_ticks);
+    println!("billed ticks   : {}", r.billed_ticks);
+    println!("bill           : {:.2} USD", r.cost_cents.to_f64() / 100.0);
+    for (s, shard) in run.shards.iter().enumerate() {
+        println!(
+            "  shard {s:>2}     : {} sessions, {}/{} served, {} busy ticks",
+            shard.sessions_total, shard.sessions_served, shard.sessions_total, shard.busy_ticks
+        );
+    }
+    Ok(())
 }
 
 /// One shard's opt-in instrumentation: the event log under
@@ -935,13 +1005,7 @@ fn open_shard_probes<Sz: Demand>(
     shards: usize,
 ) -> Result<Vec<ShardProbe<Sz>>, String> {
     let journal_base = args.str_flag("journal");
-    if args.has("fsync") && journal_base.is_none() {
-        return Err("--fsync only makes sense with --journal FILE".into());
-    }
-    let fsync = match args.str_flag("fsync") {
-        None => dbp_obs::FsyncPolicy::Always,
-        Some(spec) => dbp_obs::FsyncPolicy::parse(spec).map_err(|e| format!("--fsync: {e}"))?,
-    };
+    let fsync = journal_fsync(args)?;
     (0..shards)
         .map(|s| {
             let journal = match journal_base {
@@ -1011,15 +1075,7 @@ fn cluster_plain<Sz: Demand>(
         println!("manifest saved to {path}");
     }
     let r = &run.report;
-    if Sz::DIMS > 1 {
-        println!(
-            "algorithm      : {} ({}-dimensional)",
-            r.algorithm,
-            Sz::DIMS
-        );
-    } else {
-        println!("algorithm      : {}", r.algorithm);
-    }
+    println!("algorithm      : {}", algorithm_label::<Sz>(&r.algorithm));
     println!("router         : {}", r.router);
     println!("shards         : {}", r.shards);
     println!("sessions       : {}", r.sessions_served);
@@ -1137,13 +1193,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         return Err("--shards must be at least 1".into());
     }
     let algo = args.str_flag("algo").unwrap_or("ff");
-    let algo = static_algo_name(algo).ok_or_else(|| format!("unknown algorithm '{algo}'"))?;
     // No instance up front, so no µ hint: validate the name accepts that.
-    selector_by_name(algo, None)?;
-    let algo_name = algo.to_string();
-    let factory = dbp_core::packer::SelectorFactory::new(algo, move || {
-        selector_by_name(&algo_name, None).expect("algorithm name validated above")
-    });
+    let factory = scalar_factory(algo, None)?;
 
     let capacity = args.u64_flag_or("capacity", 100)?;
     if capacity == 0 {
@@ -1244,14 +1295,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         "drained        : {} served, {} dropped, {} lost of {} arrivals",
         summary.served, summary.dropped, summary.lost, summary.total
     );
-    println!(
-        "ledger         : {}",
-        if summary.conserved() {
-            "conserved"
-        } else {
-            "NOT CONSERVED"
-        }
-    );
+    println!("ledger         : {}", ledger_verdict(summary.conserved()));
     println!("{}", summary.to_json());
     if !summary.conserved() {
         return Err("drain ledger is not conserved (served + dropped + lost != total)".into());
@@ -1264,7 +1308,9 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 /// busy vs queue-wait utilization split, and (with `--trace-out`) the full
 /// Chrome-trace flamechart. With no FILE it packs the shared churn fixture
 /// (`dbp_workloads::churn`), the same stream the scaling benches measure,
-/// so the numbers here explain those curves directly.
+/// so the numbers here explain those curves directly. `--hetero` widens the
+/// stream to the `[gpu, cpu, mem]` catalog and profiles the 3-dimensional
+/// path.
 fn cmd_profile(args: &Args) -> Result<(), String> {
     let inst = match args.positional.get(1) {
         Some(_) => load_instance(args, 1)?,
@@ -1275,49 +1321,44 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
         }
     };
     let algo = args.str_flag("algo").unwrap_or("ff");
-    let algo = static_algo_name(algo).ok_or_else(|| format!("unknown algorithm '{algo}'"))?;
-    let shards = args.u64_flag_or("shards", 8)? as usize;
-    if shards == 0 {
-        return Err("--shards must be at least 1".into());
+    let config = parse_cluster_config(args, 8)?;
+    if args.has("hetero") {
+        let inst = dbp_workloads::widen(&inst);
+        let factory = hetero_factory(algo)?;
+        let system = dbp_cloudsim::GamingSystem::per_tick(inst.capacity().component(0));
+        let engine = dbp_cluster::ClusterEngine::new(system, config);
+        return profile(args, &engine, &inst, &factory);
     }
-    let mut config =
-        dbp_cluster::ClusterConfig::new(shards, parse_router(args)?).map_err(|e| e.to_string())?;
-    config.batch = parse_batch(args)?;
-    config.jobs = parse_jobs(args)?;
+    let factory = scalar_factory(algo, mu_hint(&inst))?;
     let engine = dbp_cluster::ClusterEngine::new(paper_gaming_system(&inst), config);
+    profile(args, &engine, &inst, &factory)
+}
 
-    let hint = mu_hint(&inst);
-    selector_by_name(algo, hint)?;
-    let algo_name = algo.to_string();
-    let factory = dbp_core::packer::SelectorFactory::new(algo, move || {
-        selector_by_name(&algo_name, hint).expect("algorithm name validated above")
-    });
-
+/// The `dbp profile` body at any dimensionality: one traced cluster run
+/// (plain, or self-healing under `--shard-faults`) and its report.
+fn profile<Sz: Demand>(
+    args: &Args,
+    engine: &dbp_cluster::ClusterEngine,
+    inst: &dbp_core::instance::GInstance<Sz>,
+    factory: &dbp_core::packer::GSelectorFactory<Sz>,
+) -> Result<(), String> {
+    let config = engine.config;
+    let shards = config.shards;
     // With `--shard-faults` the profile runs the self-healing engine
     // instead, so `shard_restart` / `shard_replay` spans (and the driver's
     // `reroute` span) show up in the stage table and the Chrome trace.
+    let lane = |s: usize, epoch| dbp_obs::SpanCollector::with_epoch(epoch, s as u32);
     let (algorithm, router_name, shard_sessions, trace) =
         if let Some(spec) = args.str_flag("shard-faults") {
-            let plan = load_shard_fault_plan(spec, shards, &inst)?;
+            let plan = load_shard_fault_plan(spec, shards, inst.len())?;
             let (run, trace) = engine
-                .run_self_healing_traced(
-                    &inst,
-                    &factory,
-                    &plan,
-                    &mut dbp_core::probe::NoProbe,
-                    |s, epoch| dbp_obs::SpanCollector::with_epoch(epoch, s as u32),
-                )
+                .run_self_healing_traced(inst, factory, &plan, &mut dbp_core::probe::NoProbe, lane)
                 .map_err(|e| e.to_string())?;
             let sessions: Vec<u64> = run.shards.iter().map(|h| h.sessions_served).collect();
             (run.report.algorithm, run.report.router, sessions, trace)
         } else {
             let (run, _probes, trace) = engine
-                .run_traced(
-                    &inst,
-                    &factory,
-                    |_| dbp_core::probe::NoProbe,
-                    |s, epoch| dbp_obs::SpanCollector::with_epoch(epoch, s as u32),
-                )
+                .run_traced(inst, factory, |_| dbp_core::probe::NoProbe, lane)
                 .map_err(|e| e.to_string())?;
             let sessions: Vec<u64> = run
                 .shards
@@ -1328,7 +1369,7 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
         };
 
     let t = &trace.timing;
-    println!("algorithm      : {algorithm}");
+    println!("algorithm      : {}", algorithm_label::<Sz>(&algorithm));
     println!("router         : {router_name}");
     println!("shards         : {} ({} workers)", shards, config.workers());
     println!("sessions       : {}", shard_sessions.iter().sum::<u64>());
@@ -1433,21 +1474,54 @@ fn cmd_recover(args: &Args) -> Result<(), String> {
         return cmd_recover_serve(path, args.u64_flag("serve-shards")? as usize);
     }
     // Vector journals (format v2) carry their dimensionality in the header;
-    // dispatch to the monomorphized per-dimension audit. Scalar (v1)
-    // journals keep the original path byte-for-byte.
+    // the audit runs monomorphized at that dimensionality. Only scalar (v1)
+    // journals can resume under `--trace`.
     let dims = dbp_obs::journal::peek_journal_dims(std::path::Path::new(path))
         .map_err(|e| format!("{path}: {e}"))?;
-    if dims > 1 {
-        return match dims {
-            2 => cmd_recover_vector::<2>(args, path),
-            3 => cmd_recover_vector::<3>(args, path),
-            4 => cmd_recover_vector::<4>(args, path),
-            d => Err(format!(
-                "{path}: journal holds {d}-dimensional demands; this build audits up to 4"
-            )),
-        };
+    match dims {
+        1 => recover_journal::<Size>(args, path, Some(resume_scalar)),
+        2 => recover_journal::<VSize<2>>(args, path, None),
+        3 => recover_journal::<VSize<3>>(args, path, None),
+        4 => recover_journal::<VSize<4>>(args, path, None),
+        d => Err(format!(
+            "{path}: journal holds {d}-dimensional demands; this build audits up to 4"
+        )),
     }
-    let contents = dbp_obs::journal::read_journal(std::path::Path::new(path))?;
+}
+
+/// What a `--trace` resume established: the exact final cost when it
+/// finished the run, and the algorithm and instance digest the manifest
+/// check diffs against.
+struct Resumed {
+    cost: Option<u128>,
+    algorithm: String,
+    digest: String,
+}
+
+/// A `--trace` resume over a journal's events: `(args, trace path,
+/// journaled events, fault-event count)`.
+type ResumeFn<Sz> =
+    fn(&Args, &str, &[dbp_core::probe::GProbeEvent<Sz>], usize) -> Result<Resumed, String>;
+
+/// The journal audit at any dimensionality: torn-tail report (`--repair`),
+/// structural replay with the exact cost, per-dimension served demand
+/// beyond one dimension, the `--trace` resume where `resume` supports it,
+/// and the `--manifest` diff.
+fn recover_journal<Sz: Demand>(
+    args: &Args,
+    path: &str,
+    resume: Option<ResumeFn<Sz>>,
+) -> Result<(), String> {
+    let trace = match (args.str_flag("trace"), resume) {
+        (Some(_), None) => {
+            return Err(format!(
+                "--trace resume is scalar-only; this journal is {}-dimensional",
+                Sz::DIMS
+            ))
+        }
+        (trace, resume) => trace.zip(resume),
+    };
+    let contents = dbp_obs::journal::read_journal_dims::<Sz>(std::path::Path::new(path))?;
     match &contents.torn {
         Some(torn) => {
             println!(
@@ -1461,6 +1535,9 @@ fn cmd_recover(args: &Args) -> Result<(), String> {
         }
         None => println!("journal        : clean"),
     }
+    if Sz::DIMS > 1 {
+        println!("dimensions     : {}", Sz::DIMS);
+    }
     let fault_events = contents
         .events
         .iter()
@@ -1471,7 +1548,7 @@ fn cmd_recover(args: &Args) -> Result<(), String> {
     // design (crashed bins vanish, their sessions reopen elsewhere), so its
     // audit is the verified re-execution below, not the replay walk.
     let summary = if fault_events == 0 {
-        let s = dbp_obs::replay::replay_events(&contents.events)
+        let s = dbp_obs::replay::replay_events_dims(&contents.events)
             .map_err(|e| format!("{path}: audit failed: {e}"))?;
         println!(
             "items          : {} arrived, {} placed, {} departed",
@@ -1501,83 +1578,35 @@ fn cmd_recover(args: &Args) -> Result<(), String> {
         );
         None
     };
-    let complete = summary.as_ref().is_some_and(|s| s.is_complete());
+    if Sz::DIMS > 1 {
+        let (ticks, resident) = dbp_obs::per_dim_demand_ticks(&contents.events);
+        for (d, t) in ticks.iter().enumerate() {
+            println!("dim {d} served   : {t} demand-ticks");
+        }
+        if resident > 0 {
+            println!(
+                "resident       : {resident} items still placed at stream end \
+                 (their demand-ticks are not yet accountable)"
+            );
+        }
+    }
 
     // With the original instance in hand, finish what the journal started.
-    let mut final_cost = complete.then(|| summary.as_ref().unwrap().cost_ticks);
-    let mut algorithm_used: Option<String> = None;
-    let mut trace_digest: Option<String> = None;
-    if let Some(trace_path) = args.str_flag("trace") {
-        let inst = read_trace(trace_path)?;
-        trace_digest = Some(dbp_obs::manifest::instance_digest(&inst));
-        let algo = args.str_flag("algo").unwrap_or("ff");
-        let mut sel = selector_by_name(algo, mu_hint(&inst))?;
-        algorithm_used = Some(sel.name().to_string());
-        if fault_events > 0 {
-            let spec = args.str_flag("faults").ok_or(
-                "journal carries fault-injection events; pass --faults SEED|PLAN.json \
-                 matching the original run",
-            )?;
-            let horizon = dbp_core::events::event_ticks(&inst)
-                .last()
-                .map(|t| t.raw())
-                .unwrap_or(0);
-            let plan = load_fault_plan(spec, horizon)?;
-            let resilient = dbp_cloudsim::ResilientSystem::new(paper_gaming_system(&inst), plan);
-            let mut log = dbp_obs::EventLog::new();
-            let out = resilient
-                .recover_probed(&inst, &mut *sel, &mut log, &contents.events)
-                .map_err(|e| format!("recovery failed: {e}"))?;
-            println!(
-                "recovery       : {} journaled events verified, {} re-derived",
-                out.events_replayed, out.events_appended
-            );
-            println!(
-                "report         : {}/{} sessions served, {} crashes, {} re-dispatched",
-                out.report.sessions_served,
-                out.report.sessions_total,
-                out.report.crashes,
-                out.report.redispatches
-            );
-            if let Some(out_path) = args.str_flag("resume-jsonl") {
-                let mut combined = dbp_obs::export::events_to_jsonl(&contents.events);
-                combined.push_str(&dbp_obs::export::events_to_jsonl(log.events()));
-                dbp_obs::export::atomic_write(std::path::Path::new(out_path), combined.as_bytes())
-                    .map_err(|e| format!("{out_path}: {e}"))?;
-                println!("combined stream saved to {out_path}");
-            }
-        } else {
-            if args.has("faults") {
-                return Err("--faults given but the journal carries no fault events".into());
-            }
-            let alg = sel.name().to_string();
-            let rec = dbp_obs::replay::snapshot_from_events(&inst, &alg, &contents.events)
-                .map_err(|e| format!("recovery failed: {e}"))?;
-            println!(
-                "snapshot       : at event {} ({} trailing partial events dropped)",
-                rec.events_used, rec.events_dropped
-            );
-            let mut log = dbp_obs::EventLog::new();
-            let trace = simulate_resumed_probed(&inst, &mut *sel, &mut log, &rec.snapshot)
-                .map_err(|e| format!("resume failed: {e}"))?;
-            println!(
-                "resumed cost   : {} bin-ticks ({} continuation events)",
-                trace.total_cost_ticks(),
-                log.len()
-            );
-            final_cost = Some(trace.total_cost_ticks());
-            if let Some(out_path) = args.str_flag("resume-jsonl") {
-                let mut combined =
-                    dbp_obs::export::events_to_jsonl(&contents.events[..rec.events_used]);
-                combined.push_str(&dbp_obs::export::events_to_jsonl(log.events()));
-                dbp_obs::export::atomic_write(std::path::Path::new(out_path), combined.as_bytes())
-                    .map_err(|e| format!("{out_path}: {e}"))?;
-                println!("combined stream saved to {out_path}");
-            }
+    let mut final_cost = summary
+        .as_ref()
+        .filter(|s| s.is_complete())
+        .map(|s| s.cost_ticks);
+    let resumed = match trace {
+        Some((trace_path, resume)) => {
+            let resumed = resume(args, trace_path, &contents.events, fault_events)?;
+            final_cost = resumed.cost.or(final_cost);
+            Some(resumed)
         }
-    } else if args.has("resume-jsonl") {
-        return Err("--resume-jsonl needs --trace FILE (the instance the run packed)".into());
-    }
+        None if args.has("resume-jsonl") => {
+            return Err("--resume-jsonl needs --trace FILE (the instance the run packed)".into())
+        }
+        None => None,
+    };
 
     // Diff everything the journal could recompute against the recorded
     // provenance; any disagreement is a hard failure.
@@ -1609,15 +1638,14 @@ fn cmd_recover(args: &Args) -> Result<(), String> {
                 ));
             }
         }
-        if let Some(alg) = &algorithm_used {
-            if *alg != recorded.algorithm {
+        if let Some(resumed) = &resumed {
+            if resumed.algorithm != recorded.algorithm {
                 mismatches.push(format!(
-                    "algorithm: manifest records {}, recovery used {alg} (pass --algo)",
-                    recorded.algorithm
+                    "algorithm: manifest records {}, recovery used {} (pass --algo)",
+                    recorded.algorithm, resumed.algorithm
                 ));
             }
-        }
-        if let Some(digest) = &trace_digest {
+            let digest = &resumed.digest;
             if *digest != recorded.instance_digest {
                 mismatches.push(format!(
                     "instance digest: manifest records {}, --trace hashes to {digest}",
@@ -1638,68 +1666,82 @@ fn cmd_recover(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `dbp recover FILE.wal` for a format-v2 (vector) journal: the
-/// structural audit plus the **exact per-dimension cost audit** — served
-/// demand-ticks recomputed from the events alone, one integer per
-/// resource dimension. Resume (`--trace`) stays scalar-only; a vector
-/// journal names its own dimensionality, so this path never guesses.
-fn cmd_recover_vector<const D: usize>(args: &Args, path: &str) -> Result<(), String> {
-    if args.has("trace") {
-        return Err(format!(
-            "--trace resume is scalar-only; this journal is {D}-dimensional"
-        ));
-    }
-    let contents = dbp_obs::journal::read_journal_dims::<dbp_core::demand::VSize<D>>(
-        std::path::Path::new(path),
-    )?;
-    match &contents.torn {
-        Some(torn) => {
-            println!(
-                "journal        : torn tail — {} (sound prefix {} bytes)",
-                torn.reason, torn.sound_len
-            );
-            if args.has("repair") {
-                dbp_obs::journal::repair_journal(std::path::Path::new(path))?;
-                println!("repaired       : truncated to {} bytes", torn.sound_len);
-            }
-        }
-        None => println!("journal        : clean"),
-    }
-    println!("dimensions     : {D}");
-    println!("events         : {}", contents.events.len());
-    let s = dbp_obs::replay::replay_events_dims(&contents.events)
-        .map_err(|e| format!("{path}: audit failed: {e}"))?;
-    println!(
-        "items          : {} arrived, {} placed, {} departed",
-        s.arrivals, s.placements, s.departures
-    );
-    println!(
-        "bins           : {} opened, {} closed, {} still open (peak {})",
-        s.bins_opened, s.bins_closed, s.open_at_end, s.max_open
-    );
-    if s.violations > 0 {
-        println!("carried        : {} violations", s.violations);
-    }
-    println!(
-        "replayed cost  : {} bin-ticks ({})",
-        s.cost_ticks,
-        if s.is_complete() {
-            "complete run"
-        } else {
-            "closed bins only — run was interrupted"
-        }
-    );
-    let (ticks, resident) = dbp_obs::per_dim_demand_ticks(&contents.events);
-    for (d, t) in ticks.iter().enumerate() {
-        println!("dim {d} served   : {t} demand-ticks");
-    }
-    if resident > 0 {
+/// `dbp recover --trace FILE` on a scalar journal: rebuild an engine
+/// snapshot at the last complete-operation boundary and resume the run,
+/// or — for a fault-injection journal — re-execute it under the original
+/// `--faults` plan and verify every journaled event. `--resume-jsonl`
+/// writes the journaled prefix plus the continuation.
+fn resume_scalar(
+    args: &Args,
+    trace_path: &str,
+    events: &[dbp_core::probe::ProbeEvent],
+    fault_events: usize,
+) -> Result<Resumed, String> {
+    let inst = read_trace(trace_path)?;
+    let digest = dbp_obs::manifest::instance_digest(&inst);
+    let algo = args.str_flag("algo").unwrap_or("ff");
+    let mut sel = selector_by_name(algo, mu_hint(&inst))?;
+    let algorithm = sel.name().to_string();
+    let (cost, prefix, log) = if fault_events > 0 {
+        let spec = args.str_flag("faults").ok_or(
+            "journal carries fault-injection events; pass --faults SEED|PLAN.json \
+             matching the original run",
+        )?;
+        let horizon = inst.last_departure().map_or(0, |t| t.raw());
+        let plan = load_fault_plan(spec, horizon)?;
+        let resilient = dbp_cloudsim::ResilientSystem::new(paper_gaming_system(&inst), plan);
+        let mut log = dbp_obs::EventLog::new();
+        let out = resilient
+            .recover_probed(&inst, &mut *sel, &mut log, events)
+            .map_err(|e| format!("recovery failed: {e}"))?;
         println!(
-            "resident       : {resident} items still placed at stream end \
-             (their demand-ticks are not yet accountable)"
+            "recovery       : {} journaled events verified, {} re-derived",
+            out.events_replayed, out.events_appended
         );
+        println!(
+            "report         : {}/{} sessions served, {} crashes, {} re-dispatched",
+            out.report.sessions_served,
+            out.report.sessions_total,
+            out.report.crashes,
+            out.report.redispatches
+        );
+        (None, events, log)
+    } else {
+        if args.has("faults") {
+            return Err("--faults given but the journal carries no fault events".into());
+        }
+        let rec = dbp_obs::replay::snapshot_from_events(&inst, &algorithm, events)
+            .map_err(|e| format!("recovery failed: {e}"))?;
+        println!(
+            "snapshot       : at event {} ({} trailing partial events dropped)",
+            rec.events_used, rec.events_dropped
+        );
+        let mut log = dbp_obs::EventLog::new();
+        let trace = simulate_resumed_probed(&inst, &mut *sel, &mut log, &rec.snapshot)
+            .map_err(|e| format!("resume failed: {e}"))?;
+        println!(
+            "resumed cost   : {} bin-ticks ({} continuation events)",
+            trace.total_cost_ticks(),
+            log.len()
+        );
+        (
+            Some(trace.total_cost_ticks()),
+            &events[..rec.events_used],
+            log,
+        )
+    };
+    if let Some(out_path) = args.str_flag("resume-jsonl") {
+        let mut combined = dbp_obs::export::events_to_jsonl(prefix);
+        combined.push_str(&dbp_obs::export::events_to_jsonl(log.events()));
+        dbp_obs::export::atomic_write(std::path::Path::new(out_path), combined.as_bytes())
+            .map_err(|e| format!("{out_path}: {e}"))?;
+        println!("combined stream saved to {out_path}");
     }
-    Ok(())
+    Ok(Resumed {
+        cost,
+        algorithm,
+        digest,
+    })
 }
 
 /// `dbp recover BASE --serve-shards N`: audit a daemon's journal set.

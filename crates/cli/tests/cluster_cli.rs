@@ -406,17 +406,86 @@ fn hetero_cluster_journals_replay_the_per_dimension_served_demand() {
 fn hetero_cluster_refuses_the_scalar_fault_paths_by_name() {
     let dir = tmpdir();
     let tr = generate(&dir, "heterofaults");
-    for flag in ["--faults", "--shard-faults"] {
-        let out = dbp(&[
-            "cluster", &tr, "--algo", "ff", "--hetero", "--shards", "2", flag, "1",
-        ]);
-        assert!(!out.status.success(), "{flag} was accepted");
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            err.contains(&format!("{flag} is not supported with --hetero")),
-            "{err}"
-        );
-    }
+    let out = dbp(&[
+        "cluster", &tr, "--algo", "ff", "--hetero", "--shards", "2", "--faults", "1",
+    ]);
+    assert!(!out.status.success(), "--faults was accepted");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("--faults is not supported with --hetero"),
+        "{err}"
+    );
+}
+
+#[test]
+fn hetero_shard_faults_self_heal_deterministically() {
+    let dir = tmpdir();
+    let tr = generate(&dir, "heteroheal");
+    let argv = [
+        "cluster",
+        &tr,
+        "--algo",
+        "ff",
+        "--hetero",
+        "--shards",
+        "4",
+        "--router",
+        "hash",
+        "--shard-faults",
+        "7",
+    ];
+    let out = stdout(&dbp(&argv));
+    assert!(out.contains("FF (3-dimensional)"), "{out}");
+    assert_eq!(field(&out, "ledger"), "conserved");
+    let total: u64 = field(&out, "sessions").parse().unwrap();
+    let served: u64 = field(&out, "served").parse().unwrap();
+    let dropped: u64 = field(&out, "dropped").parse().unwrap();
+    let lost: u64 = field(&out, "lost to kills").parse().unwrap();
+    let rerouted: u64 = field(&out, "rerouted").parse().unwrap();
+    assert_eq!(served + dropped + lost + rerouted, total);
+    assert!(out.contains("-- shards:"), "{out}");
+    assert_eq!(out, stdout(&dbp(&argv)), "same plan, same run");
+}
+
+#[test]
+fn shard_faults_refuse_fsync_without_a_journal() {
+    let dir = tmpdir();
+    let tr = generate(&dir, "healfsync");
+    let out = dbp(&[
+        "cluster",
+        &tr,
+        "--algo",
+        "ff",
+        "--shards",
+        "2",
+        "--shard-faults",
+        "7",
+        "--fsync",
+        "never",
+    ]);
+    assert!(!out.status.success(), "--fsync was accepted");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("--fsync only makes sense with --journal FILE"),
+        "{err}"
+    );
+}
+
+#[test]
+fn profile_honours_hetero_with_and_without_shard_faults() {
+    let dir = tmpdir();
+    let tr = generate(&dir, "heteroprofile");
+    let base = ["profile", &tr, "--algo", "ff", "--hetero", "--shards", "4"];
+    let plain = stdout(&dbp(&base));
+    assert_eq!(field(&plain, "algorithm"), "FF (3-dimensional)");
+    assert!(plain.contains("shard_busy"), "{plain}");
+
+    let mut argv = base.to_vec();
+    argv.extend(["--shard-faults", "7"]);
+    let healed = stdout(&dbp(&argv));
+    assert_eq!(field(&healed, "algorithm"), "FF (3-dimensional)");
+    assert!(healed.contains("shard_restart"), "{healed}");
+    assert_eq!(field(&healed, "sessions"), field(&plain, "sessions"));
 }
 
 #[test]

@@ -427,3 +427,76 @@ fn v1_scalar_journals_keep_the_scalar_recover_path() {
     );
     assert!(!out.contains("dim 0 served"), "{out}");
 }
+
+/// A 1-shard `--hetero` cluster run with a journal and a manifest; returns
+/// (journal path, manifest path).
+fn hetero_journaled_cluster(dir: &std::path::Path, stem: &str) -> (String, String) {
+    let tr = path(dir, &format!("{stem}.json"));
+    let wal = path(dir, &format!("{stem}.wal"));
+    let man = path(dir, &format!("{stem}.manifest.json"));
+    stdout(&dbp(&[
+        "generate",
+        "scenario",
+        "--name",
+        "launch-day",
+        "--seed",
+        "7",
+        "--out",
+        &tr,
+    ]));
+    stdout(&dbp(&[
+        "cluster",
+        &tr,
+        "--algo",
+        "ff",
+        "--hetero",
+        "--shards",
+        "1",
+        "--journal",
+        &wal,
+        "--fsync",
+        "never",
+        "--run-manifest",
+        &man,
+    ]));
+    (format!("{wal}.shard0"), man)
+}
+
+#[test]
+fn vector_journals_audit_against_their_manifest() {
+    let dir = tmpdir();
+    let (wal, man) = hetero_journaled_cluster(&dir, "vec-manifest");
+    let out = stdout(&dbp(&["recover", &wal, "--manifest", &man]));
+    assert!(out.contains("dimensions     : 3"), "{out}");
+    assert!(out.contains("cost check     : OK"), "{out}");
+    assert!(out.contains("manifest check : OK"), "{out}");
+
+    // A manifest recording another cost fails the audit, as for scalar
+    // journals.
+    let body = std::fs::read_to_string(&man).unwrap();
+    let recorded = body
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("\"total_cost_ticks\": "))
+        .expect("the manifest records the cost")
+        .trim_end_matches(',')
+        .to_string();
+    let wrong = body.replace(
+        &format!("\"total_cost_ticks\": {recorded}"),
+        "\"total_cost_ticks\": 1",
+    );
+    let bad = path(&dir, "vec-manifest.bad.json");
+    std::fs::write(&bad, wrong).unwrap();
+    let err = stderr_of_failure(&dbp(&["recover", &wal, "--manifest", &bad]));
+    assert!(err.contains("disagrees"), "{err}");
+    assert!(err.contains("total cost"), "{err}");
+}
+
+#[test]
+fn vector_journals_refuse_resume_jsonl_without_trace() {
+    let dir = tmpdir();
+    let (wal, _) = vector_journal_killed_midstream(&dir, "vec-jsonl");
+    let out_path = path(&dir, "vec-jsonl.out.jsonl");
+    let err = stderr_of_failure(&dbp(&["recover", &wal, "--resume-jsonl", &out_path]));
+    assert!(err.contains("needs --trace FILE"), "{err}");
+    assert!(!std::path::Path::new(&out_path).exists());
+}

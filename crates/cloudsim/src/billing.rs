@@ -6,8 +6,12 @@
 //! the `billing_granularity` experiment test whether the algorithm ranking
 //! is stable under realistic rounding.
 
+use crate::system::{GamingSystem, SystemReport};
+use dbp_core::demand::Demand;
+use dbp_core::instance::GInstance;
 use dbp_core::ratio::Ratio;
 use dbp_core::trace::GPackingTrace;
+use dbp_obs::RunManifest;
 use serde::{Deserialize, Serialize};
 
 /// Ticks are seconds in the cloudsim layer.
@@ -80,16 +84,22 @@ impl ServerType {
             ..ServerType::default_gpu_vm()
         }
     }
+
+    /// Exact bill in cents for `billed_ticks` server-ticks over `servers`
+    /// rentals: `billed_ticks · cents_per_hour / 3600 + servers · setup_cents`.
+    pub fn bill_cents(&self, billed_ticks: u128, servers: u128) -> Ratio {
+        Ratio::new(
+            billed_ticks * self.cents_per_hour as u128,
+            TICKS_PER_HOUR as u128,
+        ) + Ratio::from_int(servers * self.setup_cents as u128)
+    }
 }
 
 /// Total billed ticks of a trace under a granularity: each bin's usage
 /// period is rounded up independently (servers are rented per-instance).
 /// Bin records carry no demand values, so this is the bill at any
 /// dimensionality.
-pub fn billed_ticks<Sz: dbp_core::demand::Demand>(
-    trace: &GPackingTrace<Sz>,
-    granularity: Granularity,
-) -> u128 {
+pub fn billed_ticks<Sz: Demand>(trace: &GPackingTrace<Sz>, granularity: Granularity) -> u128 {
     trace
         .bins
         .iter()
@@ -99,17 +109,51 @@ pub fn billed_ticks<Sz: dbp_core::demand::Demand>(
 
 /// Exact rental cost in cents:
 /// `billed_ticks · cents_per_hour / 3600 + servers · setup_cents`.
-pub fn rental_cost_cents<Sz: dbp_core::demand::Demand>(
+pub fn rental_cost_cents<Sz: Demand>(
     trace: &GPackingTrace<Sz>,
     server: ServerType,
     granularity: Granularity,
 ) -> Ratio {
-    let duration = Ratio::new(
-        billed_ticks(trace, granularity) * server.cents_per_hour as u128,
-        TICKS_PER_HOUR as u128,
-    );
-    let setup = Ratio::from_int(trace.bins_used() as u128 * server.setup_cents as u128);
-    duration + setup
+    server.bill_cents(billed_ticks(trace, granularity), trace.bins_used() as u128)
+}
+
+/// Mean GPU utilization of `busy` server-ticks: dimension-0 demand over
+/// `W_0 · busy`, the scalar utilization at one dimension. Zero when
+/// nothing was busy.
+pub fn gpu_utilization<Sz: Demand>(requests: &GInstance<Sz>, busy: u128) -> Ratio {
+    if busy == 0 {
+        return Ratio::ZERO;
+    }
+    let demand: u128 = requests
+        .items()
+        .iter()
+        .map(|it| it.size.component(0) as u128 * it.interval_len().0 as u128)
+        .sum();
+    Ratio::new(demand, requests.capacity().component(0) as u128 * busy)
+}
+
+/// The dispatch report of a finished run: `trace` packed `requests` on
+/// `system`'s servers in `wall`. Every dispatch path builds its report
+/// here — the plain system run and every cluster shard, fresh or resumed,
+/// at any dimensionality.
+pub fn system_report<Sz: Demand>(
+    system: &GamingSystem,
+    requests: &GInstance<Sz>,
+    trace: &GPackingTrace<Sz>,
+    wall: std::time::Duration,
+) -> SystemReport {
+    let busy = trace.total_cost_ticks();
+    SystemReport {
+        algorithm: trace.algorithm.clone(),
+        sessions_served: requests.len(),
+        servers_rented: trace.bins_used(),
+        peak_servers: trace.max_open_bins(),
+        busy_ticks: busy,
+        billed_ticks: billed_ticks(trace, system.granularity),
+        cost_cents: rental_cost_cents(trace, system.server, system.granularity),
+        utilization: gpu_utilization(requests, busy),
+        manifest: Some(RunManifest::capture(&trace.algorithm, None, requests, wall)),
+    }
 }
 
 #[cfg(test)]

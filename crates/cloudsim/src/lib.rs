@@ -42,7 +42,10 @@ pub mod faults;
 pub mod recover;
 pub mod system;
 
-pub use billing::{billed_ticks, rental_cost_cents, Granularity, ServerType, TICKS_PER_HOUR};
+pub use billing::{
+    billed_ticks, gpu_utilization, rental_cost_cents, system_report, Granularity, ServerType,
+    TICKS_PER_HOUR,
+};
 pub use faults::{
     AdmissionPolicy, CrashEvent, FaultConfig, FaultPlan, ResilientReport, ResilientSystem,
     RetryPolicy,

@@ -6,7 +6,7 @@
 //! dispatcher is a [`BinSelector`], and the bill is the MinTotal objective
 //! under a [`Granularity`].
 
-use crate::billing::{billed_ticks, rental_cost_cents, Granularity, ServerType};
+use crate::billing::{system_report, Granularity, ServerType};
 use dbp_core::engine::simulate_validated;
 use dbp_core::instance::Instance;
 use dbp_core::packer::BinSelector;
@@ -130,28 +130,7 @@ impl GamingSystem {
         }
         let started = std::time::Instant::now();
         let trace = simulate_validated(requests, dispatcher);
-        let wall = started.elapsed();
-        let busy = trace.total_cost_ticks();
-        let billed = billed_ticks(&trace, self.granularity);
-        let utilization = if busy == 0 {
-            Ratio::ZERO
-        } else {
-            Ratio::new(
-                requests.total_demand(),
-                requests.capacity().raw() as u128 * busy,
-            )
-        };
-        let report = SystemReport {
-            algorithm: trace.algorithm.clone(),
-            sessions_served: requests.len(),
-            servers_rented: trace.bins_used(),
-            peak_servers: trace.max_open_bins(),
-            busy_ticks: busy,
-            billed_ticks: billed,
-            cost_cents: rental_cost_cents(&trace, self.server, self.granularity),
-            utilization,
-            manifest: Some(RunManifest::capture(&trace.algorithm, None, requests, wall)),
-        };
+        let report = system_report(self, requests, &trace, started.elapsed());
         Ok((report, trace))
     }
 

@@ -15,7 +15,7 @@ use crate::faults::{
 };
 use crate::router::Router;
 use dbp_cloudsim::{
-    billed_ticks, rental_cost_cents, DispatchError, FaultPlan, GamingSystem, ResilientReport,
+    gpu_utilization, system_report, DispatchError, FaultPlan, GamingSystem, ResilientReport,
     ResilientSystem, SystemReport,
 };
 use dbp_core::demand::Demand;
@@ -23,8 +23,9 @@ use dbp_core::engine::EngineRun;
 use dbp_core::instance::{GInstance, Instance};
 use dbp_core::item::{ItemId, Size};
 use dbp_core::packer::{BinSelector, GSelectorFactory, SelectorFactory};
-use dbp_core::probe::{GProbeEvent, NoProbe, Probe, ProbeEvent};
+use dbp_core::probe::{GProbeEvent, NoProbe, Probe};
 use dbp_core::ratio::Ratio;
+use dbp_core::snapshot::GSnapshot;
 use dbp_core::span::{stage, NoSpans, SpanRecorder};
 use dbp_core::time::Tick;
 use dbp_core::trace::GPackingTrace;
@@ -527,6 +528,15 @@ impl ClusterHealedRun {
     }
 }
 
+/// What the cluster driver hands a mode's fan-in: every shard's back-map
+/// and work result in shard order, the router's assignment, and the run's
+/// epoch.
+struct Dispatched<T> {
+    shards: Vec<(Vec<ItemId>, T)>,
+    assignment: Vec<usize>,
+    epoch: Instant,
+}
+
 /// The scale-out dispatch layer: a [`GamingSystem`] per shard behind a
 /// [`Router`].
 #[derive(Debug, Clone, Copy)]
@@ -552,10 +562,25 @@ impl ClusterEngine {
         &self,
         requests: &GInstance<Sz>,
     ) -> (Vec<(GInstance<Sz>, Vec<ItemId>)>, Vec<usize>) {
+        self.partition_traced(requests, &mut NoSpans)
+    }
+
+    /// [`partition`](Self::partition) under the driver's `partition` span,
+    /// with the router's share in a nested `route` span.
+    #[allow(clippy::type_complexity)]
+    fn partition_traced<Sz: Demand, R: SpanRecorder>(
+        &self,
+        requests: &GInstance<Sz>,
+        spans: &mut R,
+    ) -> (Vec<(GInstance<Sz>, Vec<ItemId>)>, Vec<usize>) {
+        spans.enter(stage::PARTITION);
+        spans.enter(stage::ROUTE);
         let assignment = self.config.router.assign(requests, self.config.shards);
+        spans.exit();
         let parts = (0..self.config.shards)
             .map(|s| requests.restrict(|it| assignment[it.id.index()] == s))
             .collect();
+        spans.exit();
         (parts, assignment)
     }
 
@@ -625,7 +650,7 @@ impl ClusterEngine {
         requests: &GInstance<Sz>,
         factory: &GSelectorFactory<Sz>,
         mut make_probe: FP,
-        mut make_spans: FR,
+        make_spans: FR,
     ) -> Result<(ClusterRun<Sz>, Vec<P>, ClusterTrace<R>), ClusterError>
     where
         Sz: Demand,
@@ -634,134 +659,49 @@ impl ClusterEngine {
         FP: FnMut(usize) -> P,
         FR: FnMut(usize, Instant) -> R,
     {
-        self.config.validate()?;
-        self.check_capacity(requests)?;
-        let epoch = Instant::now();
-        let mut driver = SpanCollector::with_epoch(epoch, DRIVER_LANE);
-
-        driver.enter(stage::PARTITION);
-        driver.enter(stage::ROUTE);
-        let assignment = self.config.router.assign(requests, self.config.shards);
-        driver.exit();
-        let parts: Vec<(GInstance<Sz>, Vec<ItemId>)> = (0..self.config.shards)
-            .map(|s| requests.restrict(|it| assignment[it.id.index()] == s))
-            .collect();
-        driver.exit();
-
-        driver.enter(stage::BATCH_ENQUEUE);
-        let mut units: Vec<(GInstance<Sz>, Vec<ItemId>, P, R)> = parts
-            .into_iter()
-            .enumerate()
-            .map(|(s, (inst, back))| (inst, back, make_probe(s), make_spans(s, epoch)))
-            .collect();
-        driver.exit();
-
-        // Open every shard's queue-wait span on the driver thread, before
-        // the pool exists: the gap until a worker claims the unit is real
-        // contention and must land in the shard's own lane.
-        let dispatch_start = elapsed_ns(epoch);
-        for unit in &mut units {
-            unit.3.enter(stage::QUEUE_WAIT);
-        }
-        driver.enter(stage::DISPATCH);
         let system = self.system;
         let batch = self.config.batch;
-        let outcomes = run_pool(
-            units,
-            self.config.workers(),
-            |shard, (inst, back, mut probe, mut spans)| {
-                let claim_ns = elapsed_ns(epoch);
-                spans.exit(); // queue_wait ends the moment the worker claims
-                spans.enter(stage::SHARD_BUSY);
+        let ((run, probes), trace) = self.drive(
+            requests,
+            |shards| Ok((0..shards).map(&mut make_probe).collect()),
+            make_spans,
+            |_shard, inst, mut probe: P, spans| {
                 let mut sel = factory.build();
                 let (report, trace) =
-                    run_shard_traced(&system, &inst, &mut *sel, &mut probe, &mut spans, batch);
-                spans.exit();
-                let done_ns = elapsed_ns(epoch);
-                (
-                    ShardRun {
+                    run_shard(&system, inst, &mut *sel, &mut probe, spans, batch, None)
+                        .expect("only a resumed run can be refused");
+                (report, trace, probe)
+            },
+            |done, driver| {
+                let n = done.shards.len();
+                let mut shards = Vec::with_capacity(n);
+                let mut probes = Vec::with_capacity(n);
+                for (shard, (back, (report, trace, probe))) in done.shards.into_iter().enumerate() {
+                    shards.push(ShardRun {
                         shard,
                         report,
                         trace,
                         back,
-                    },
-                    probe,
-                    spans,
-                    claim_ns,
-                    done_ns,
-                )
+                    });
+                    probes.push(probe);
+                }
+                assert_served_once(requests.len(), &shards);
+                let report = self.aggregate(
+                    requests,
+                    &shards,
+                    done.epoch.elapsed(),
+                    factory.name(),
+                    driver,
+                );
+                let run = ClusterRun {
+                    report,
+                    shards,
+                    assignment: done.assignment,
+                };
+                Ok((run, probes))
             },
-        );
-        driver.exit();
-
-        let n = outcomes.len();
-        let mut shards = Vec::with_capacity(n);
-        let mut probes = Vec::with_capacity(n);
-        let mut recorders = Vec::with_capacity(n);
-        let mut queue_wait_ns = Vec::with_capacity(n);
-        let mut busy_ns = Vec::with_capacity(n);
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            let (shard, probe, spans, claim_ns, done_ns) =
-                outcome.map_err(|p| ClusterError::ShardPanicked {
-                    shard: i,
-                    message: panic_message(&*p),
-                })?;
-            queue_wait_ns.push(claim_ns.saturating_sub(dispatch_start));
-            busy_ns.push(done_ns.saturating_sub(claim_ns));
-            shards.push(shard);
-            probes.push(probe);
-            recorders.push(spans);
-        }
-
-        if crate::cancel::requested() {
-            // Shards returned sentinels, not real reports; aggregating
-            // them would fabricate a zero-cost run. Dropping the probes
-            // here flushes and fsyncs any journals (JournalWriter syncs
-            // on drop), so the on-disk prefix is recover-clean.
-            return Err(ClusterError::Interrupted);
-        }
-
-        driver.enter(stage::FAN_IN);
-        assert_served_once(requests.len(), &shards);
-        let report = self.aggregate(
-            requests,
-            &shards,
-            epoch.elapsed(),
-            factory.name(),
-            &mut driver,
-        );
-        driver.exit();
-
-        let stage_ns = |name: &'static str| -> u64 {
-            driver
-                .spans()
-                .iter()
-                .filter(|s| s.name == name)
-                .map(|s| s.dur_ns)
-                .sum()
-        };
-        let timing = ClusterTiming {
-            wall_ns: elapsed_ns(epoch),
-            partition_ns: stage_ns(stage::PARTITION),
-            batch_enqueue_ns: stage_ns(stage::BATCH_ENQUEUE),
-            dispatch_ns: stage_ns(stage::DISPATCH),
-            fan_in_ns: stage_ns(stage::FAN_IN),
-            queue_wait_ns,
-            busy_ns,
-        };
-        Ok((
-            ClusterRun {
-                report,
-                shards,
-                assignment,
-            },
-            probes,
-            ClusterTrace {
-                driver,
-                shards: recorders,
-                timing,
-            },
-        ))
+        )?;
+        Ok((run, probes, trace))
     }
 
     /// Run the cluster under per-shard fault plans through
@@ -802,64 +742,58 @@ impl ClusterEngine {
                 got: plans.len(),
             });
         }
-        self.config.validate()?;
-        self.check_capacity(requests)?;
-        let (parts, assignment) = self.partition(requests);
-        let units: Vec<(Instance, FaultPlan, P)> = parts
-            .into_iter()
-            .enumerate()
-            .map(|(s, (inst, _back))| (inst, plans[s].clone(), make_probe(s)))
-            .collect();
         let system = self.system;
-        let results = run_pool(
-            units,
-            self.config.workers(),
-            |_shard, (inst, plan, mut probe)| {
+        let (out, _trace) = self.drive(
+            requests,
+            |shards| {
+                Ok((0..shards)
+                    .map(|s| (plans[s].clone(), make_probe(s)))
+                    .collect())
+            },
+            |_, _| NoSpans,
+            |_shard, inst, (plan, mut probe): (FaultPlan, P), _spans| {
                 let mut sel = factory.build();
-                let resilient = ResilientSystem::new(system, plan);
-                let report = resilient.run_probed(&inst, &mut *sel, &mut probe);
+                let report =
+                    ResilientSystem::new(system, plan).run_probed(inst, &mut *sel, &mut probe);
                 (report, probe)
             },
-        );
-        let mut shards = Vec::with_capacity(results.len());
-        let mut probes = Vec::with_capacity(results.len());
-        for (i, result) in results.into_iter().enumerate() {
-            let (report, probe) = result.map_err(|p| ClusterError::ShardPanicked {
-                shard: i,
-                message: panic_message(&*p),
-            })?;
-            shards.push(report.map_err(ClusterError::Dispatch)?);
-            probes.push(probe);
-        }
-        let algorithm = shards
-            .first()
-            .map(|r| r.algorithm.clone())
-            .unwrap_or_else(|| factory.name().to_string());
-        let report = ClusterResilientReport {
-            algorithm,
-            router: self.config.router.name().to_string(),
-            shards: self.config.shards,
-            sessions_total: shards.iter().map(|r| r.sessions_total).sum(),
-            sessions_served: shards.iter().map(|r| r.sessions_served).sum(),
-            sessions_dropped: shards.iter().map(|r| r.sessions_dropped).sum(),
-            sessions_lost: shards.iter().map(|r| r.sessions_lost).sum(),
-            busy_ticks: shards.iter().map(|r| r.busy_ticks).sum(),
-            billed_ticks: shards.iter().map(|r| r.billed_ticks).sum(),
-            cost_cents: shards.iter().fold(Ratio::ZERO, |acc, r| acc + r.cost_cents),
-            sessions_rerouted: 0,
-            shard_kills: 0,
-            shard_restarts: 0,
-            shard_replayed_events: 0,
-            shards_lost: 0,
-        };
-        Ok((
-            ClusterResilientRun {
-                report,
-                shards,
-                assignment,
+            |done, _driver| {
+                let mut shards = Vec::with_capacity(done.shards.len());
+                let mut probes = Vec::with_capacity(done.shards.len());
+                for (_back, (report, probe)) in done.shards {
+                    shards.push(report.map_err(ClusterError::Dispatch)?);
+                    probes.push(probe);
+                }
+                let algorithm = shards
+                    .first()
+                    .map(|r| r.algorithm.clone())
+                    .unwrap_or_else(|| factory.name().to_string());
+                let report = ClusterResilientReport {
+                    algorithm,
+                    router: self.config.router.name().to_string(),
+                    shards: self.config.shards,
+                    sessions_total: shards.iter().map(|r| r.sessions_total).sum(),
+                    sessions_served: shards.iter().map(|r| r.sessions_served).sum(),
+                    sessions_dropped: shards.iter().map(|r| r.sessions_dropped).sum(),
+                    sessions_lost: shards.iter().map(|r| r.sessions_lost).sum(),
+                    busy_ticks: shards.iter().map(|r| r.busy_ticks).sum(),
+                    billed_ticks: shards.iter().map(|r| r.billed_ticks).sum(),
+                    cost_cents: shards.iter().fold(Ratio::ZERO, |acc, r| acc + r.cost_cents),
+                    sessions_rerouted: 0,
+                    shard_kills: 0,
+                    shard_restarts: 0,
+                    shard_replayed_events: 0,
+                    shards_lost: 0,
+                };
+                let run = ClusterResilientRun {
+                    report,
+                    shards,
+                    assignment: done.assignment,
+                };
+                Ok((run, probes))
             },
-            probes,
-        ))
+        )?;
+        Ok(out)
     }
 
     /// Run the cluster under a [`ShardFaultPlan`] with self-healing
@@ -869,7 +803,7 @@ impl ClusterEngine {
     /// [`RetryPolicy`](dbp_cloudsim::RetryPolicy) backoff), and shards
     /// that exhaust their budget are abandoned with exact accounting —
     /// in-flight sessions billed lost, not-yet-arrived sessions rerouted
-    /// to healthy shards.
+    /// to healthy shards. Every demand dimensionality takes this path.
     ///
     /// # Errors
     /// As for [`run_probed`](Self::run_probed), plus
@@ -877,10 +811,10 @@ impl ClusterEngine {
     /// the cluster. [`ClusterError::ShardPanicked`] here means the
     /// *supervisor itself* died — engine and selector panics are treated
     /// as kills and handled inside the run.
-    pub fn run_self_healing(
+    pub fn run_self_healing<Sz: Demand>(
         &self,
-        requests: &Instance,
-        factory: &SelectorFactory,
+        requests: &GInstance<Sz>,
+        factory: &GSelectorFactory<Sz>,
         plan: &ShardFaultPlan,
     ) -> Result<ClusterHealedRun, ClusterError> {
         self.run_self_healing_probed(requests, factory, plan, &mut NoProbe)
@@ -899,10 +833,10 @@ impl ClusterEngine {
     ///
     /// # Errors
     /// As for [`run_self_healing`](Self::run_self_healing).
-    pub fn run_self_healing_probed<P: Probe>(
+    pub fn run_self_healing_probed<Sz: Demand, P: Probe<Sz>>(
         &self,
-        requests: &Instance,
-        factory: &SelectorFactory,
+        requests: &GInstance<Sz>,
+        factory: &GSelectorFactory<Sz>,
         plan: &ShardFaultPlan,
         probe: &mut P,
     ) -> Result<ClusterHealedRun, ClusterError> {
@@ -920,123 +854,82 @@ impl ClusterEngine {
     ///
     /// # Errors
     /// As for [`run_self_healing`](Self::run_self_healing).
-    pub fn run_self_healing_traced<P, R, FR>(
+    pub fn run_self_healing_traced<Sz, P, R, FR>(
         &self,
-        requests: &Instance,
-        factory: &SelectorFactory,
+        requests: &GInstance<Sz>,
+        factory: &GSelectorFactory<Sz>,
         plan: &ShardFaultPlan,
         probe: &mut P,
-        mut make_spans: FR,
+        make_spans: FR,
     ) -> Result<(ClusterHealedRun, ClusterTrace<R>), ClusterError>
     where
-        P: Probe,
+        Sz: Demand,
+        P: Probe<Sz>,
         R: SpanRecorder + Send,
         FR: FnMut(usize, Instant) -> R,
     {
-        self.config.validate()?;
-        self.check_capacity(requests)?;
-        let shards_n = self.config.shards;
-        let mut sched: Vec<Vec<KillPoint>> = vec![Vec::new(); shards_n];
-        for kill in &plan.kills {
-            let s = kill.shard as usize;
-            if s >= shards_n {
-                return Err(ClusterError::BadFaultPlan {
-                    message: format!(
-                        "kill targets shard {} but the cluster has {} shards",
-                        kill.shard, shards_n
-                    ),
-                });
-            }
-            sched[s].push(kill.at);
-        }
-        let epoch = Instant::now();
-        let mut driver = SpanCollector::with_epoch(epoch, DRIVER_LANE);
-
-        driver.enter(stage::PARTITION);
-        driver.enter(stage::ROUTE);
-        let assignment = self.config.router.assign(requests, shards_n);
-        driver.exit();
-        let parts: Vec<(Instance, Vec<ItemId>)> = (0..shards_n)
-            .map(|s| requests.restrict(|it| assignment[it.id.index()] == s))
-            .collect();
-        driver.exit();
-
-        driver.enter(stage::BATCH_ENQUEUE);
-        let mut units: Vec<(Instance, Vec<ItemId>, Vec<KillPoint>, R)> = parts
-            .into_iter()
-            .enumerate()
-            .map(|(s, (inst, back))| {
-                (
-                    inst,
-                    back,
-                    std::mem::take(&mut sched[s]),
-                    make_spans(s, epoch),
-                )
-            })
-            .collect();
-        driver.exit();
-
-        let dispatch_start = elapsed_ns(epoch);
-        for unit in &mut units {
-            unit.3.enter(stage::QUEUE_WAIT);
-        }
-        driver.enter(stage::DISPATCH);
         let system = self.system;
         let batch = self.config.batch;
         let restart = plan.restart;
-        let outcomes = run_pool(
-            units,
-            self.config.workers(),
-            |shard, (inst, back, kills, mut spans)| {
-                let claim_ns = elapsed_ns(epoch);
-                spans.exit(); // queue_wait
-                spans.enter(stage::SHARD_BUSY);
-                let sup = supervise_shard(
+        self.drive(
+            requests,
+            |shards| {
+                let mut sched: Vec<Vec<KillPoint>> = vec![Vec::new(); shards];
+                for kill in &plan.kills {
+                    let Some(kills) = sched.get_mut(kill.shard as usize) else {
+                        return Err(ClusterError::BadFaultPlan {
+                            message: format!(
+                                "kill targets shard {} but the cluster has {shards} shards",
+                                kill.shard
+                            ),
+                        });
+                    };
+                    kills.push(kill.at);
+                }
+                Ok(sched)
+            },
+            make_spans,
+            |shard, inst, kills, spans| {
+                supervise_shard(
                     &system,
-                    &inst,
+                    inst,
                     factory,
                     kills,
                     restart,
                     batch,
                     shard as u32,
-                    &mut spans,
-                );
-                spans.exit();
-                let done_ns = elapsed_ns(epoch);
-                (back, sup, spans, claim_ns, done_ns)
+                    spans,
+                )
             },
-        );
-        driver.exit();
+            |done, driver| Ok(self.heal_fan_in(requests, factory, done, probe, driver)),
+        )
+    }
 
-        let mut collected: Vec<(Vec<ItemId>, ShardSupervision)> = Vec::with_capacity(shards_n);
-        let mut recorders = Vec::with_capacity(shards_n);
-        let mut queue_wait_ns = Vec::with_capacity(shards_n);
-        let mut busy_ns = Vec::with_capacity(shards_n);
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            let (back, sup, spans, claim_ns, done_ns) =
-                outcome.map_err(|p| ClusterError::ShardPanicked {
-                    shard: i,
-                    message: panic_message(&*p),
-                })?;
-            queue_wait_ns.push(claim_ns.saturating_sub(dispatch_start));
-            busy_ns.push(done_ns.saturating_sub(claim_ns));
-            recorders.push(spans);
-            collected.push((back, sup));
-        }
-
-        driver.enter(stage::FAN_IN);
-        let any_healthy = collected
+    /// The self-healing fan-in: per-shard ledgers and abandon markers,
+    /// degraded-mode rerouting off dead shards, delivery of the whole
+    /// cluster's stream to `probe`, and the extended aggregate ledger.
+    fn heal_fan_in<Sz: Demand, P: Probe<Sz>>(
+        &self,
+        requests: &GInstance<Sz>,
+        factory: &GSelectorFactory<Sz>,
+        done: Dispatched<ShardSupervision<Sz>>,
+        probe: &mut P,
+        driver: &mut SpanCollector,
+    ) -> ClusterHealedRun {
+        let shards_n = done.shards.len();
+        let any_healthy = done
+            .shards
             .iter()
             .any(|(_, sup)| matches!(sup.fate, ShardFate::Completed { .. }));
 
         // First pass: per-shard ledgers, abandon markers, the reroute set.
         let mut health_reports: Vec<ShardHealthReport> = Vec::with_capacity(shards_n);
-        let mut streams: Vec<Vec<ProbeEvent>> = Vec::with_capacity(shards_n);
+        let mut streams: Vec<Vec<GProbeEvent<Sz>>> = Vec::with_capacity(shards_n);
         let mut decision_streams: Vec<Vec<u64>> = Vec::with_capacity(shards_n);
         let mut algorithm: Option<String> = None;
         let mut reroute = vec![false; requests.len()];
         let mut rerouted_total = 0u64;
-        for (s, (back, sup)) in collected.into_iter().enumerate() {
+        for (s, (back, sup)) in done.shards.into_iter().enumerate() {
             let health = sup.health();
             let ShardSupervision {
                 mut events,
@@ -1089,7 +982,7 @@ impl ClusterEngine {
                         }
                     }
                     rerouted_total += moved;
-                    events.push(ProbeEvent::ShardAbandoned {
+                    events.push(GProbeEvent::ShardAbandoned {
                         at: Tick(dead.died_at),
                         shard: s as u32,
                         lost: dead.lost as u32,
@@ -1142,8 +1035,13 @@ impl ClusterEngine {
                     continue;
                 }
                 let mut sel = factory.build();
-                let (rep, _trace) =
-                    run_shard_probed(&system, &hinst, &mut *sel, &mut NoProbe, batch);
+                let (rep, _trace) = run_shard_probed(
+                    &self.system,
+                    &hinst,
+                    &mut *sel,
+                    &mut NoProbe,
+                    self.config.batch,
+                );
                 let hr = &mut health_reports[host];
                 hr.sessions_rerouted_in += hinst.len() as u64;
                 hr.servers_rented += rep.servers_rented as u64;
@@ -1196,12 +1094,121 @@ impl ClusterEngine {
                 .count() as u64,
         };
         driver.enter(stage::MANIFEST_MERGE);
-        let manifest = RunManifest::capture(&algorithm, None, requests, epoch.elapsed())
+        let manifest = RunManifest::capture(&algorithm, None, requests, done.epoch.elapsed())
             .with_cost(busy)
             .with_shard_restarts(total_restarts)
             .with_ledger_conserved(report.conserved());
         driver.exit();
-        driver.exit(); // fan_in
+        ClusterHealedRun {
+            report,
+            shards: health_reports,
+            assignment: done.assignment,
+            manifest,
+        }
+    }
+
+    /// The one partition → pool → fan-in driver every mode runs through.
+    ///
+    /// It validates the shape and the capacity, routes and restricts under
+    /// `partition`/`route`, and builds one unit per shard under
+    /// `batch_enqueue`: the shard's instance and back-map, the mode's own
+    /// per-shard state from `make_units(shards)`, and the shard's span
+    /// recorder, entered into `queue_wait`. `work` runs each unit on the
+    /// pool inside `shard_busy`; a worker panic becomes
+    /// [`ClusterError::ShardPanicked`] and a raised cancel latch
+    /// [`ClusterError::Interrupted`]. `fan_in` then merges the shard
+    /// results under the driver's `fan_in` span, and the driver lane folds
+    /// into the run's [`ClusterTiming`].
+    #[allow(clippy::type_complexity)]
+    fn drive<Sz, U, T, O, R, FU, FR, W, FI>(
+        &self,
+        requests: &GInstance<Sz>,
+        make_units: FU,
+        mut make_spans: FR,
+        work: W,
+        fan_in: FI,
+    ) -> Result<(O, ClusterTrace<R>), ClusterError>
+    where
+        Sz: Demand,
+        U: Send,
+        T: Send,
+        R: SpanRecorder + Send,
+        FU: FnOnce(usize) -> Result<Vec<U>, ClusterError>,
+        FR: FnMut(usize, Instant) -> R,
+        W: Fn(usize, &GInstance<Sz>, U, &mut R) -> T + Sync,
+        FI: FnOnce(Dispatched<T>, &mut SpanCollector) -> Result<O, ClusterError>,
+    {
+        self.config.validate()?;
+        self.check_capacity(requests)?;
+        let epoch = Instant::now();
+        let mut driver = SpanCollector::with_epoch(epoch, DRIVER_LANE);
+        let (parts, assignment) = self.partition_traced(requests, &mut driver);
+
+        driver.enter(stage::BATCH_ENQUEUE);
+        let mut units: Vec<(GInstance<Sz>, Vec<ItemId>, U, R)> = parts
+            .into_iter()
+            .zip(make_units(self.config.shards)?)
+            .enumerate()
+            .map(|(s, ((inst, back), unit))| (inst, back, unit, make_spans(s, epoch)))
+            .collect();
+        driver.exit();
+
+        // Open every shard's queue-wait span on the driver thread, before
+        // the pool exists: the gap until a worker claims the unit is real
+        // contention and must land in the shard's own lane.
+        let dispatch_start = elapsed_ns(epoch);
+        for unit in &mut units {
+            unit.3.enter(stage::QUEUE_WAIT);
+        }
+        driver.enter(stage::DISPATCH);
+        let outcomes = run_pool(
+            units,
+            self.config.workers(),
+            |shard, (inst, back, unit, mut spans)| {
+                let claim_ns = elapsed_ns(epoch);
+                spans.exit(); // queue_wait ends the moment the worker claims
+                spans.enter(stage::SHARD_BUSY);
+                let value = work(shard, &inst, unit, &mut spans);
+                spans.exit();
+                let done_ns = elapsed_ns(epoch);
+                (back, value, spans, claim_ns, done_ns)
+            },
+        );
+        driver.exit();
+
+        let n = outcomes.len();
+        let mut shards = Vec::with_capacity(n);
+        let mut recorders = Vec::with_capacity(n);
+        let mut queue_wait_ns = Vec::with_capacity(n);
+        let mut busy_ns = Vec::with_capacity(n);
+        for (i, outcome) in outcomes.into_iter().enumerate() {
+            let (back, value, spans, claim_ns, done_ns) =
+                outcome.map_err(|p| ClusterError::ShardPanicked {
+                    shard: i,
+                    message: panic_message(&*p),
+                })?;
+            queue_wait_ns.push(claim_ns.saturating_sub(dispatch_start));
+            busy_ns.push(done_ns.saturating_sub(claim_ns));
+            shards.push((back, value));
+            recorders.push(spans);
+        }
+
+        if crate::cancel::requested() {
+            // Shards returned sentinels, not real reports; merging them
+            // would fabricate a zero-cost run. Dropping the shard results
+            // here flushes and fsyncs any journals (JournalWriter syncs on
+            // drop), so the on-disk prefix is recover-clean.
+            return Err(ClusterError::Interrupted);
+        }
+
+        driver.enter(stage::FAN_IN);
+        let done = Dispatched {
+            shards,
+            assignment,
+            epoch,
+        };
+        let out = fan_in(done, &mut driver)?;
+        driver.exit();
 
         let stage_ns = |name: &'static str| -> u64 {
             driver
@@ -1221,12 +1228,7 @@ impl ClusterEngine {
             busy_ns,
         };
         Ok((
-            ClusterHealedRun {
-                report,
-                shards: health_reports,
-                assignment,
-                manifest,
-            },
+            out,
             ClusterTrace {
                 driver,
                 shards: recorders,
@@ -1289,20 +1291,6 @@ fn elapsed_ns(epoch: Instant) -> u64 {
     u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Dimension-0 (GPU) demand over `W_0 ·` busy time — the scalar
-/// utilization at one dimension.
-fn gpu_utilization<Sz: Demand>(requests: &GInstance<Sz>, busy: u128) -> Ratio {
-    if busy == 0 {
-        return Ratio::ZERO;
-    }
-    let demand: u128 = requests
-        .items()
-        .iter()
-        .map(|it| it.size.component(0) as u128 * it.interval_len().0 as u128)
-        .sum();
-    Ratio::new(demand, requests.capacity().component(0) as u128 * busy)
-}
-
 /// The cluster's conservation ledger: the shard back-maps partition the
 /// item ids, so every item was served by exactly one shard.
 ///
@@ -1339,22 +1327,39 @@ where
     S: BinSelector<Sz> + ?Sized,
     P: Probe<Sz>,
 {
-    run_shard_traced(system, requests, dispatcher, probe, &mut NoSpans, batch)
+    run_shard(
+        system,
+        requests,
+        dispatcher,
+        probe,
+        &mut NoSpans,
+        batch,
+        None,
+    )
+    .expect("only a resumed run can be refused")
 }
 
-/// [`run_shard_probed`] plus a [`SpanRecorder`]: the engine loop runs
-/// through [`EngineRun::traced`] (per-event `arrival`/`decide`/`place`/
-/// `departure` spans), and the shard's own validation and report
-/// construction get `validate` / `report_build` spans. With [`NoSpans`]
-/// this compiles down to exactly the probed path.
-pub fn run_shard_traced<Sz, S, P, R>(
+/// The one shard runner behind [`run_shard_probed`], the cluster driver
+/// and the self-healing supervisor. A fresh shard starts at the beginning
+/// of its schedule through [`EngineRun::traced`] (per-event
+/// `arrival`/`decide`/`place`/`departure` spans); with `resume` it is
+/// rebuilt from a snapshot recovered from its journal, under a
+/// `shard_replay` span, and the resumed loop runs span-free
+/// ([`EngineRun::resume`] carries no recorder). Either way the same step
+/// loop drives the run, and the same conservation check (`validate` span)
+/// and report build (`report_build` span) finish it.
+///
+/// # Errors
+/// The snapshot's refusal, when [`EngineRun::resume`] rejects it.
+pub(crate) fn run_shard<Sz, S, P, R>(
     system: &GamingSystem,
     requests: &GInstance<Sz>,
     dispatcher: &mut S,
     probe: &mut P,
     spans: &mut R,
     batch: BatchPolicy,
-) -> (SystemReport, GPackingTrace<Sz>)
+    resume: Option<&GSnapshot<Sz>>,
+) -> Result<(SystemReport, GPackingTrace<Sz>), String>
 where
     Sz: Demand,
     S: BinSelector<Sz> + ?Sized,
@@ -1367,45 +1372,46 @@ where
         "capacity is checked at the cluster boundary"
     );
     let started = std::time::Instant::now();
-    // Poll the cancellation latch at least every CANCEL_CHECK steps even
-    // under whole-stream batching; the clamp is semantically invisible
-    // (the outer loop re-enters until `is_done`).
-    const CANCEL_CHECK: usize = 4096;
-    let burst = batch.burst().min(CANCEL_CHECK);
-    let mut run = EngineRun::traced(requests, &mut *dispatcher, &mut *probe, &mut *spans);
-    while !run.is_done() {
-        if crate::cancel::requested() {
-            // Stop stepping now. The journaled prefix is already durable
-            // (probes flush + fsync on drop); the caller sees
-            // [`ClusterError::Interrupted`] and discards this sentinel.
-            return (
-                SystemReport {
-                    algorithm: dispatcher.name().to_string(),
-                    sessions_served: 0,
-                    servers_rented: 0,
-                    peak_servers: 0,
-                    busy_ticks: 0,
-                    billed_ticks: 0,
-                    cost_cents: Ratio::ZERO,
-                    utilization: Ratio::ZERO,
-                    manifest: None,
-                },
-                GPackingTrace {
-                    algorithm: dispatcher.name().to_string(),
-                    capacity: requests.capacity(),
-                    bins: Vec::new(),
-                    assignment: Vec::new(),
-                    open_bins_steps: Vec::new(),
-                },
-            );
-        }
-        for _ in 0..burst {
-            if !run.step() {
-                break;
+    let finished = match resume {
+        None => drain(
+            EngineRun::traced(requests, &mut *dispatcher, &mut *probe, &mut *spans),
+            batch,
+        ),
+        Some(snapshot) => {
+            if R::ENABLED {
+                spans.enter(stage::SHARD_REPLAY);
             }
+            let resumed = EngineRun::resume(requests, &mut *dispatcher, &mut *probe, snapshot);
+            if R::ENABLED {
+                spans.exit();
+            }
+            drain(resumed?, batch)
         }
-    }
-    let trace = run.finish();
+    };
+    let Some(trace) = finished else {
+        // Interrupted. The journaled prefix is already durable (probes
+        // flush + fsync on drop); the driver reports
+        // [`ClusterError::Interrupted`] and discards this sentinel.
+        let report = SystemReport {
+            algorithm: dispatcher.name().to_string(),
+            sessions_served: 0,
+            servers_rented: 0,
+            peak_servers: 0,
+            busy_ticks: 0,
+            billed_ticks: 0,
+            cost_cents: Ratio::ZERO,
+            utilization: Ratio::ZERO,
+            manifest: None,
+        };
+        let trace = GPackingTrace {
+            algorithm: dispatcher.name().to_string(),
+            capacity: requests.capacity(),
+            bins: Vec::new(),
+            assignment: Vec::new(),
+            open_bins_steps: Vec::new(),
+        };
+        return Ok((report, trace));
+    };
     if R::ENABLED {
         spans.enter(stage::VALIDATE);
     }
@@ -1435,24 +1441,41 @@ where
     if R::ENABLED {
         spans.enter(stage::REPORT_BUILD);
     }
-    let wall = started.elapsed();
-    let busy = trace.total_cost_ticks();
-    let utilization = gpu_utilization(requests, busy);
-    let report = SystemReport {
-        algorithm: trace.algorithm.clone(),
-        sessions_served: requests.len(),
-        servers_rented: trace.bins_used(),
-        peak_servers: trace.max_open_bins(),
-        busy_ticks: busy,
-        billed_ticks: billed_ticks(&trace, system.granularity),
-        cost_cents: rental_cost_cents(&trace, system.server, system.granularity),
-        utilization,
-        manifest: Some(RunManifest::capture(&trace.algorithm, None, requests, wall)),
-    };
+    let report = system_report(system, requests, &trace, started.elapsed());
     if R::ENABLED {
         spans.exit();
     }
-    (report, trace)
+    Ok((report, trace))
+}
+
+/// Step `run` to completion in time-ordered bursts, polling the
+/// cancellation latch between bursts; `None` when the latch stopped it.
+fn drain<Sz, S, P, R>(
+    mut run: EngineRun<'_, S, P, R, Sz>,
+    batch: BatchPolicy,
+) -> Option<GPackingTrace<Sz>>
+where
+    Sz: Demand,
+    S: BinSelector<Sz> + ?Sized,
+    P: Probe<Sz>,
+    R: SpanRecorder,
+{
+    // Poll at least every CANCEL_CHECK steps even under whole-stream
+    // batching; the clamp is semantically invisible (the outer loop
+    // re-enters until `is_done`).
+    const CANCEL_CHECK: usize = 4096;
+    let burst = batch.burst().min(CANCEL_CHECK);
+    while !run.is_done() {
+        if crate::cancel::requested() {
+            return None;
+        }
+        for _ in 0..burst {
+            if !run.step() {
+                break;
+            }
+        }
+    }
+    Some(run.finish())
 }
 
 /// One pool unit's outcome: the work's value, or the panic payload the
@@ -1548,6 +1571,7 @@ mod tests {
     use dbp_core::algorithms::FirstFit;
     use dbp_core::demand::VSize;
     use dbp_core::instance::{GInstanceBuilder, InstanceBuilder};
+    use dbp_core::probe::ProbeEvent;
     use dbp_workloads::{generate, CloudGamingConfig};
 
     fn workload(seed: u64) -> Instance {

@@ -8,7 +8,11 @@
 //! Up → Failed → Recovering → Up health machine ([`ShardHealth`]), and
 //! resurrects it from its own write-ahead event stream via
 //! [`snapshot_from_events`] + [`EngineRun::resume`] — the same machinery
-//! `dbp recover` uses for process crashes.
+//! `dbp recover` uses for process crashes. A resurrected shard runs
+//! through the same shard runner as a fresh one, at any demand
+//! dimensionality.
+//!
+//! [`EngineRun::resume`]: dbp_core::engine::EngineRun::resume
 //!
 //! ## The resurrection invariant
 //!
@@ -21,17 +25,16 @@
 //! kill markers aside, which are fault-vocabulary events interleaved at
 //! their stream position and filtered by `is_fault_event()`.
 
-use crate::engine::{run_shard_traced, BatchPolicy};
-use dbp_cloudsim::{GamingSystem, RetryPolicy, SystemReport, TICKS_PER_HOUR};
-use dbp_core::engine::EngineRun;
-use dbp_core::instance::Instance;
-use dbp_core::packer::SelectorFactory;
-use dbp_core::probe::{Probe, ProbeEvent};
+use crate::engine::{run_shard, BatchPolicy};
+use dbp_cloudsim::{GamingSystem, RetryPolicy, SystemReport};
+use dbp_core::demand::Demand;
+use dbp_core::instance::GInstance;
+use dbp_core::packer::GSelectorFactory;
+use dbp_core::probe::{GProbeEvent, Probe};
 use dbp_core::ratio::Ratio;
-use dbp_core::snapshot::Snapshot;
+use dbp_core::snapshot::GSnapshot;
 use dbp_core::span::{stage, SpanRecorder};
 use dbp_core::time::Tick;
-use dbp_core::trace::PackingTrace;
 use dbp_obs::prelude::snapshot_from_events;
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -244,14 +247,14 @@ impl KillCursor {
 /// The supervised shard's write-ahead probe: every engine event is pushed
 /// to the in-memory WAL *before* a post-event kill can fire, so the WAL at
 /// death is exactly what a durable journal would hold.
-struct WalProbe<'a> {
-    wal: &'a mut Vec<ProbeEvent>,
+struct WalProbe<'a, Sz> {
+    wal: &'a mut Vec<GProbeEvent<Sz>>,
     decisions: &'a mut Vec<u64>,
     kills: &'a mut KillCursor,
 }
 
-impl Probe for WalProbe<'_> {
-    fn record(&mut self, event: ProbeEvent) {
+impl<Sz: Demand> Probe<Sz> for WalProbe<'_, Sz> {
+    fn record(&mut self, event: GProbeEvent<Sz>) {
         if self.kills.fire_before_tick(event.at()) {
             std::panic::panic_any(ShardKillSignal);
         }
@@ -322,11 +325,11 @@ pub(crate) struct DeadShard {
 }
 
 /// The full outcome of supervising one shard.
-pub(crate) struct ShardSupervision {
+pub(crate) struct ShardSupervision<Sz> {
     /// The shard's user-visible event stream: the engine WAL with
     /// `ShardKilled`/`ShardRestarted` markers interleaved at the stream
     /// positions they occurred.
-    pub events: Vec<ProbeEvent>,
+    pub events: Vec<GProbeEvent<Sz>>,
     /// Per-arrival decision timings (each arrival timed exactly once,
     /// replay is silent).
     pub decisions: Vec<u64>,
@@ -344,7 +347,7 @@ pub(crate) struct ShardSupervision {
     pub fate: ShardFate,
 }
 
-impl ShardSupervision {
+impl<Sz> ShardSupervision<Sz> {
     /// Final health: the last transition.
     pub fn health(&self) -> ShardHealth {
         *self.transitions.last().unwrap_or(&ShardHealth::Up)
@@ -355,29 +358,29 @@ impl ShardSupervision {
 /// `catch_unwind`, resurrect from the WAL within the restart budget, and
 /// account the corpse exactly when the budget runs out.
 #[allow(clippy::too_many_arguments)] // internal seam: the engine passes the full shard context
-pub(crate) fn supervise_shard<R: SpanRecorder>(
+pub(crate) fn supervise_shard<Sz: Demand, R: SpanRecorder>(
     system: &GamingSystem,
-    requests: &Instance,
-    factory: &SelectorFactory,
+    requests: &GInstance<Sz>,
+    factory: &GSelectorFactory<Sz>,
     kills: Vec<KillPoint>,
     restart: RestartPolicy,
     batch: BatchPolicy,
     shard: u32,
     spans: &mut R,
-) -> ShardSupervision {
+) -> ShardSupervision<Sz> {
     if !kills.is_empty() {
         silence_kill_panics();
     }
-    let mut wal: Vec<ProbeEvent> = Vec::new();
+    let mut wal: Vec<GProbeEvent<Sz>> = Vec::new();
     let mut decisions: Vec<u64> = Vec::new();
     let mut cursor = KillCursor::new(kills);
-    let mut markers: Vec<(usize, ProbeEvent)> = Vec::new();
+    let mut markers: Vec<(usize, GProbeEvent<Sz>)> = Vec::new();
     let mut kills_fired = 0u32;
     let mut restarts = 0u32;
     let mut replayed_events = 0u64;
     let mut backoff_ticks = 0u64;
     let mut transitions = vec![ShardHealth::Up];
-    let mut snapshot: Option<Snapshot> = None;
+    let mut snapshot: Option<GSnapshot<Sz>> = None;
 
     let fate = loop {
         let mut sel = factory.build();
@@ -385,40 +388,22 @@ pub(crate) fn supervise_shard<R: SpanRecorder>(
             inner: &mut *spans,
             depth: 0,
         };
-        let attempt = {
-            let wal_ref = &mut wal;
-            let dec_ref = &mut decisions;
-            let cur_ref = &mut cursor;
-            let snap_ref = snapshot.as_ref();
-            let sel_ref = &mut *sel;
-            let tracked_ref = &mut tracked;
-            catch_unwind(AssertUnwindSafe(move || {
-                let mut probe = WalProbe {
-                    wal: wal_ref,
-                    decisions: dec_ref,
-                    kills: cur_ref,
-                };
-                match snap_ref {
-                    None => Ok(run_shard_traced(
-                        system,
-                        requests,
-                        sel_ref,
-                        &mut probe,
-                        tracked_ref,
-                        batch,
-                    )),
-                    Some(snap) => run_shard_resumed(
-                        system,
-                        requests,
-                        sel_ref,
-                        &mut probe,
-                        tracked_ref,
-                        snap,
-                        batch,
-                    ),
-                }
-            }))
-        };
+        let attempt = catch_unwind(AssertUnwindSafe(|| {
+            let mut probe = WalProbe {
+                wal: &mut wal,
+                decisions: &mut decisions,
+                kills: &mut cursor,
+            };
+            run_shard(
+                system,
+                requests,
+                &mut *sel,
+                &mut probe,
+                &mut tracked,
+                batch,
+                snapshot.as_ref(),
+            )
+        }));
         match attempt {
             Ok(Ok((report, _trace))) => break ShardFate::Completed { report },
             Ok(Err(message)) => {
@@ -443,7 +428,7 @@ pub(crate) fn supervise_shard<R: SpanRecorder>(
                 let at = wal.last().map(|e| e.at()).unwrap_or(Tick(0));
                 markers.push((
                     k,
-                    ProbeEvent::ShardKilled {
+                    GProbeEvent::ShardKilled {
                         at,
                         shard,
                         events_done: k as u64,
@@ -476,7 +461,7 @@ pub(crate) fn supervise_shard<R: SpanRecorder>(
                         replayed_events += rec.events_used as u64;
                         markers.push((
                             k,
-                            ProbeEvent::ShardRestarted {
+                            GProbeEvent::ShardRestarted {
                                 at,
                                 shard,
                                 attempt: restarts,
@@ -512,104 +497,9 @@ pub(crate) fn supervise_shard<R: SpanRecorder>(
     }
 }
 
-/// Resume a shard from a recovered snapshot and drive it to completion,
-/// mirroring [`run_shard_traced`]'s validation and report construction.
-/// The replay phase gets a `shard_replay` span; the resumed engine loop
-/// itself runs span-free ([`EngineRun::resume`] carries no recorder) —
-/// byte-identity is about events, not spans.
-fn run_shard_resumed<S, P, R>(
-    system: &GamingSystem,
-    requests: &Instance,
-    dispatcher: &mut S,
-    probe: &mut P,
-    spans: &mut R,
-    snapshot: &Snapshot,
-    batch: BatchPolicy,
-) -> Result<(SystemReport, PackingTrace), String>
-where
-    S: dbp_core::packer::BinSelector + ?Sized,
-    P: Probe,
-    R: SpanRecorder,
-{
-    let started = std::time::Instant::now();
-    if R::ENABLED {
-        spans.enter(stage::SHARD_REPLAY);
-    }
-    let resumed = EngineRun::resume(requests, dispatcher, probe, snapshot);
-    if R::ENABLED {
-        spans.exit();
-    }
-    let mut run = resumed?;
-    let burst = batch.burst();
-    while !run.is_done() {
-        for _ in 0..burst {
-            if !run.step() {
-                break;
-            }
-        }
-    }
-    let trace = run.finish();
-    if R::ENABLED {
-        spans.enter(stage::VALIDATE);
-    }
-    // Same cheap conservation check as the normal shard path — resumed
-    // shards must not pay more validation than healthy ones.
-    let errs = trace.check_conservation(requests);
-    if R::ENABLED {
-        spans.exit();
-    }
-    if P::ENABLED {
-        for err in &errs {
-            probe.record(ProbeEvent::Violation {
-                at: Tick(0),
-                message: err.clone(),
-            });
-        }
-    }
-    assert!(
-        errs.is_empty(),
-        "trace conservation check failed for resumed {}:\n{}",
-        trace.algorithm,
-        errs.join("\n")
-    );
-    if R::ENABLED {
-        spans.enter(stage::REPORT_BUILD);
-    }
-    let wall = started.elapsed();
-    let busy = trace.total_cost_ticks();
-    let utilization = if busy == 0 {
-        Ratio::ZERO
-    } else {
-        Ratio::new(
-            requests.total_demand(),
-            requests.capacity().raw() as u128 * busy,
-        )
-    };
-    let report = SystemReport {
-        algorithm: trace.algorithm.clone(),
-        sessions_served: requests.len(),
-        servers_rented: trace.bins_used(),
-        peak_servers: trace.max_open_bins(),
-        busy_ticks: busy,
-        billed_ticks: dbp_cloudsim::billed_ticks(&trace, system.granularity),
-        cost_cents: dbp_cloudsim::rental_cost_cents(&trace, system.server, system.granularity),
-        utilization,
-        manifest: Some(dbp_obs::RunManifest::capture(
-            &trace.algorithm,
-            None,
-            requests,
-            wall,
-        )),
-    };
-    if R::ENABLED {
-        spans.exit();
-    }
-    Ok((report, trace))
-}
-
 /// Interleave health markers into the WAL at their stream positions:
 /// a marker at position `k` lands after the `k`-th engine event.
-fn assemble_stream(wal: Vec<ProbeEvent>, mut markers: Vec<(usize, ProbeEvent)>) -> Vec<ProbeEvent> {
+fn assemble_stream<E: Clone>(wal: Vec<E>, mut markers: Vec<(usize, E)>) -> Vec<E> {
     if markers.is_empty() {
         return wal;
     }
@@ -632,10 +522,10 @@ fn assemble_stream(wal: Vec<ProbeEvent>, mut markers: Vec<(usize, ProbeEvent)>) 
 /// Bill an abandoned shard from its WAL alone: closed servers at their
 /// journaled spans, still-open servers from boot to the time of death,
 /// sessions split into served (departed) / lost (in flight) / unarrived.
-fn account_dead_shard(
+fn account_dead_shard<Sz: Demand>(
     system: &GamingSystem,
-    requests: &Instance,
-    wal: &[ProbeEvent],
+    requests: &GInstance<Sz>,
+    wal: &[GProbeEvent<Sz>],
     reason: String,
 ) -> DeadShard {
     let died_at = wal.last().map(|e| e.at().0).unwrap_or(0);
@@ -649,21 +539,21 @@ fn account_dead_shard(
     let mut billed: u128 = 0;
     for ev in wal {
         match ev {
-            ProbeEvent::ItemArrived { item, .. } => {
+            GProbeEvent::ItemArrived { item, .. } => {
                 if let Some(slot) = arrived.get_mut(item.index()) {
                     *slot = true;
                 }
             }
-            ProbeEvent::ItemDeparted { item, .. } => {
+            GProbeEvent::ItemDeparted { item, .. } => {
                 if let Some(slot) = departed.get_mut(item.index()) {
                     *slot = true;
                 }
             }
-            ProbeEvent::BinOpened { at, .. } => {
+            GProbeEvent::BinOpened { at, .. } => {
                 opened_at.push(at.0);
                 open.push(true);
             }
-            ProbeEvent::BinClosed {
+            GProbeEvent::BinClosed {
                 bin, open_ticks, ..
             } => {
                 if let Some(slot) = open.get_mut(bin.index()) {
@@ -683,11 +573,7 @@ fn account_dead_shard(
         }
     }
     let servers_rented = opened_at.len() as u64;
-    let cost_cents =
-        Ratio::new(
-            billed * system.server.cents_per_hour as u128,
-            TICKS_PER_HOUR as u128,
-        ) + Ratio::from_int(servers_rented as u128 * system.server.setup_cents as u128);
+    let cost_cents = system.server.bill_cents(billed, servers_rented as u128);
     let mut served = 0u64;
     let mut lost = 0u64;
     let mut unarrived = Vec::new();
@@ -731,6 +617,9 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use dbp_core::algorithms::FirstFit;
+    use dbp_core::instance::Instance;
+    use dbp_core::packer::SelectorFactory;
+    use dbp_core::probe::ProbeEvent;
     use dbp_core::span::NoSpans;
     use dbp_workloads::{generate, CloudGamingConfig};
 

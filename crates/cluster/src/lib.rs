@@ -39,7 +39,11 @@
 //!   bounded restart budget, and reroutes only *future* arrivals off
 //!   shards that stay dead — returning a [`ClusterHealedRun`] whose
 //!   extended ledger conserves
-//!   `served + dropped + lost + rerouted == total`.
+//!   `served + dropped + lost + rerouted == total`, at any demand
+//!   dimensionality.
+//!
+//! Every mode runs through one partition → pool → fan-in driver, and
+//! every shard, fresh or resurrected, through one shard runner.
 //!
 //! The differential guarantee the test suite pins down: a 1-shard cluster
 //! *is* the plain system run — same report, same JSONL event stream, same
@@ -56,9 +60,9 @@ pub mod router;
 pub mod vector;
 
 pub use engine::{
-    run_shard_probed, run_shard_traced, BatchPolicy, ClusterConfig, ClusterEngine, ClusterError,
-    ClusterHealedRun, ClusterReport, ClusterResilientReport, ClusterResilientRun, ClusterRun,
-    ClusterTiming, ClusterTrace, ShardHealthReport, ShardRun,
+    run_shard_probed, BatchPolicy, ClusterConfig, ClusterEngine, ClusterError, ClusterHealedRun,
+    ClusterReport, ClusterResilientReport, ClusterResilientRun, ClusterRun, ClusterTiming,
+    ClusterTrace, ShardHealthReport, ShardRun,
 };
 pub use faults::{KillPoint, RestartPolicy, ShardFaultPlan, ShardHealth, ShardKill};
 pub use router::{route_one_dims, Router};

@@ -10,14 +10,16 @@ use dbp_cluster::{
     ShardKill,
 };
 use dbp_core::algorithms::FirstFit;
-use dbp_core::instance::Instance;
-use dbp_core::packer::SelectorFactory;
-use dbp_core::probe::ProbeEvent;
-use dbp_obs::export::events_to_jsonl;
+use dbp_core::demand::Demand;
+use dbp_core::instance::{GInstance, Instance};
+use dbp_core::packer::GSelectorFactory;
+use dbp_core::probe::{GProbeEvent, ProbeEvent};
+use dbp_obs::export::{events_to_jsonl, events_to_jsonl_dims};
 use dbp_obs::prelude::instance_digest;
-use dbp_obs::EventLog;
-use dbp_workloads::{generate, CloudGamingConfig};
+use dbp_obs::{EventLog, GEventLog};
+use dbp_workloads::{generate, widen, CloudGamingConfig};
 use proptest::prelude::*;
+use proptest::TestCaseError;
 
 fn workload(seed: u64) -> Instance {
     generate(&CloudGamingConfig {
@@ -27,8 +29,8 @@ fn workload(seed: u64) -> Instance {
     })
 }
 
-fn ff_factory() -> SelectorFactory {
-    SelectorFactory::new("FF", || Box::new(FirstFit::new()))
+fn ff_factory<Sz: Demand>() -> GSelectorFactory<Sz> {
+    GSelectorFactory::new("FF", || Box::new(FirstFit::new()))
 }
 
 fn temp_journal(tag: &str) -> std::path::PathBuf {
@@ -46,9 +48,14 @@ fn engine(shards: usize, router: Router) -> ClusterEngine {
 
 /// Number of engine events the unkilled run of shard `s` emits, so kill
 /// offsets can be aimed at exact phases of the stream.
-fn shard_event_counts(eng: &ClusterEngine, inst: &Instance, factory: &SelectorFactory) -> Vec<u64> {
-    let (run, probes) = eng.run_probed(inst, factory, |_| EventLog::new()).unwrap();
-    let _ = run;
+fn shard_event_counts<Sz: Demand>(
+    eng: &ClusterEngine,
+    inst: &GInstance<Sz>,
+    factory: &GSelectorFactory<Sz>,
+) -> Vec<u64> {
+    let (_run, probes) = eng
+        .run_probed(inst, factory, |_| GEventLog::<Sz>::new())
+        .unwrap();
     probes.into_iter().map(|log| log.len() as u64).collect()
 }
 
@@ -108,21 +115,27 @@ fn shard_death_at_every_phase_is_healed_and_conserved() {
 
 /// The resurrection invariant at cluster scope: when every kill heals,
 /// the delivered event stream minus the fault markers is byte-identical
-/// to the zero-fault run's stream, and the bills match exactly.
+/// to the zero-fault run's stream, and the bills match exactly — at one
+/// and at three dimensions.
 #[test]
 fn healed_run_stream_is_byte_identical_to_the_unkilled_run() {
     let inst = workload(12);
+    assert_healed_stream_is_the_unkilled_stream(&inst, "D=1");
+    assert_healed_stream_is_the_unkilled_stream(&widen(&inst), "D=3");
+}
+
+fn assert_healed_stream_is_the_unkilled_stream<Sz: Demand>(inst: &GInstance<Sz>, label: &str) {
     let eng = engine(4, Router::LeastLoaded);
-    let factory = ff_factory();
-    let counts = shard_event_counts(&eng, &inst, &factory);
+    let factory = ff_factory::<Sz>();
+    let counts = shard_event_counts(&eng, inst, &factory);
     assert!(
         counts.iter().all(|&c| c > 2),
-        "fixture too small: {counts:?}"
+        "{label}: fixture too small: {counts:?}"
     );
 
-    let mut clean_log = EventLog::new();
+    let mut clean_log = GEventLog::<Sz>::new();
     let clean = eng
-        .run_self_healing_probed(&inst, &factory, &ShardFaultPlan::none(), &mut clean_log)
+        .run_self_healing_probed(inst, &factory, &ShardFaultPlan::none(), &mut clean_log)
         .unwrap();
 
     let plan = ShardFaultPlan {
@@ -135,29 +148,64 @@ fn healed_run_stream_is_byte_identical_to_the_unkilled_run() {
             .collect(),
         restart: RestartPolicy::default(),
     };
-    let mut killed_log = EventLog::new();
+    let mut killed_log = GEventLog::<Sz>::new();
     let killed = eng
-        .run_self_healing_probed(&inst, &factory, &plan, &mut killed_log)
+        .run_self_healing_probed(inst, &factory, &plan, &mut killed_log)
         .unwrap();
 
-    let survivors: Vec<&ProbeEvent> = killed_log
+    let survivors: Vec<&GProbeEvent<Sz>> = killed_log
         .events()
         .iter()
         .filter(|e| !e.is_fault_event())
         .collect();
-    let originals: Vec<&ProbeEvent> = clean_log.events().iter().collect();
+    let originals: Vec<&GProbeEvent<Sz>> = clean_log.events().iter().collect();
     assert_eq!(
         survivors, originals,
-        "resurrected stream must be byte-identical"
+        "{label}: resurrected stream must be byte-identical"
     );
     assert_eq!(killed.report.sessions_served, clean.report.sessions_served);
     assert_eq!(killed.report.busy_ticks, clean.report.busy_ticks);
     assert_eq!(killed.report.cost_cents, clean.report.cost_cents);
-    assert_eq!(killed.report.shard_restarts, 4);
+    assert_eq!(killed.report.shard_restarts, 4, "{label}");
     assert!(killed
         .shards
         .iter()
         .all(|h| h.health == ShardHealth::Up && h.restarts == 1));
+}
+
+/// The guarantee `run_self_healing_probed` documents, at three
+/// dimensions: under a zero-kill plan the delivered stream is the plain
+/// run's per-shard streams concatenated in shard order, and the bill is
+/// the plain cluster's.
+#[test]
+fn zero_kill_plan_delivers_the_plain_per_shard_streams_at_d3() {
+    let inst = widen(&workload(16));
+    let factory = ff_factory();
+    for router in Router::ALL {
+        let eng = engine(3, router);
+        let mut healed_log = GEventLog::new();
+        let healed = eng
+            .run_self_healing_probed(&inst, &factory, &ShardFaultPlan::none(), &mut healed_log)
+            .unwrap();
+        let (plain, logs) = eng
+            .run_probed(&inst, &factory, |_| GEventLog::new())
+            .unwrap();
+        let concatenated: Vec<_> = logs
+            .iter()
+            .flat_map(|l| l.events().iter().cloned())
+            .collect();
+        assert_eq!(
+            events_to_jsonl_dims(healed_log.events()),
+            events_to_jsonl_dims(&concatenated),
+            "{}",
+            router.name()
+        );
+        assert!(healed.report.conserved());
+        assert_eq!(healed.report.sessions_served, inst.len() as u64);
+        assert_eq!(healed.report.busy_ticks, plain.report.busy_ticks);
+        assert_eq!(healed.report.cost_cents, plain.report.cost_cents);
+        assert_eq!(healed.assignment, plain.assignment);
+    }
 }
 
 /// A shard whose kills exhaust the restart budget goes Down; sessions
@@ -277,7 +325,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Satellite: seeded shard-kill schedules conserve the extended
-    /// ledger for every router and 2/4/8 shards, whatever the kills hit.
+    /// ledger for every router and 2/4/8 shards, whatever the kills hit —
+    /// at one and at three dimensions.
     #[test]
     fn seeded_shard_kills_conserve_the_extended_ledger(
         seed in 0u64..500,
@@ -285,22 +334,8 @@ proptest! {
     ) {
         let shards = [2usize, 4, 8][shards_ix];
         let inst = workload(seed % 7);
-        let factory = ff_factory();
-        for router in Router::ALL {
-            let eng = engine(shards, router);
-            let plan = ShardFaultPlan::from_seed(seed, shards, 40);
-            let healed = eng.run_self_healing(&inst, &factory, &plan).unwrap();
-            prop_assert!(healed.report.conserved(), "{}: {:?}", router.name(), healed.report);
-            prop_assert_eq!(healed.report.sessions_total, inst.len() as u64);
-            for h in &healed.shards {
-                prop_assert!(h.conserved(), "{} shard {}", router.name(), h.shard);
-            }
-            let rerouted_in: u64 = healed.shards.iter().map(|h| h.sessions_rerouted_in).sum();
-            prop_assert_eq!(rerouted_in, healed.report.sessions_rerouted);
-            prop_assert_eq!(
-                healed.manifest.ledger_conserved, Some(true)
-            );
-        }
+        seeded_kills_conserve(&inst, shards, seed)?;
+        seeded_kills_conserve(&widen(&inst), shards, seed)?;
     }
 
     /// Satellite (vector demands): killing one shard of a 3-dimensional
@@ -467,4 +502,27 @@ proptest! {
             prop_assert_eq!(healed.manifest.shard_restarts, Some(0));
         }
     }
+}
+
+fn seeded_kills_conserve<Sz: Demand>(
+    inst: &GInstance<Sz>,
+    shards: usize,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let factory = ff_factory::<Sz>();
+    for router in Router::ALL {
+        let eng = engine(shards, router);
+        let plan = ShardFaultPlan::from_seed(seed, shards, 40);
+        let healed = eng.run_self_healing(inst, &factory, &plan).unwrap();
+        let at = format!("D={} {}", Sz::DIMS, router.name());
+        prop_assert!(healed.report.conserved(), "{}: {:?}", at, healed.report);
+        prop_assert_eq!(healed.report.sessions_total, inst.len() as u64);
+        for h in &healed.shards {
+            prop_assert!(h.conserved(), "{} shard {}", at, h.shard);
+        }
+        let rerouted_in: u64 = healed.shards.iter().map(|h| h.sessions_rerouted_in).sum();
+        prop_assert_eq!(rerouted_in, healed.report.sessions_rerouted);
+        prop_assert_eq!(healed.manifest.ledger_conserved, Some(true));
+    }
+    Ok(())
 }

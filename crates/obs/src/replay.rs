@@ -21,9 +21,10 @@
 
 use dbp_core::bin::{BinId, BinTag};
 use dbp_core::demand::Demand;
-use dbp_core::instance::Instance;
+use dbp_core::instance::GInstance;
+use dbp_core::item::Size;
 use dbp_core::probe::{GProbeEvent, ProbeEvent};
-use dbp_core::snapshot::Snapshot;
+use dbp_core::snapshot::GSnapshot;
 use dbp_core::time::Tick;
 
 /// Aggregate results of auditing a journal stream. All quantities are
@@ -210,11 +211,12 @@ pub fn per_dim_demand_ticks<Sz: Demand>(events: &[GProbeEvent<Sz>]) -> (Vec<u128
     (ticks, placed_at.len() as u64)
 }
 
-/// A snapshot recovered from a journal prefix.
+/// A snapshot recovered from a journal prefix, at any demand
+/// dimensionality.
 #[derive(Debug)]
-pub struct RecoveredSnapshot {
+pub struct RecoveredSnapshot<Sz = Size> {
     /// Engine state at the boundary, rebuilt by deterministic replay.
-    pub snapshot: Snapshot,
+    pub snapshot: GSnapshot<Sz>,
     /// Number of leading journal events the snapshot accounts for.
     pub events_used: usize,
     /// Trailing events dropped because they belong to an engine operation
@@ -231,15 +233,18 @@ pub struct RecoveredSnapshot {
 /// it empties the bin, `BinClosed`. A crash can leave the final operation
 /// half-journaled, so this scans for the last operation boundary, derives
 /// the assignment prefix and bin tags up to it, and rebuilds the exact
-/// [`Snapshot`] there via [`dbp_core::rebuild_snapshot`].
+/// [`GSnapshot`] there via [`dbp_core::rebuild_snapshot`].
+///
+/// The walk reads only structure (bin ids, opens, placements, closes), so
+/// one body serves every demand dimensionality.
 ///
 /// Errors on fault-injection events (crash-recovery journals describe a
 /// different state machine) and on streams no engine run could emit.
-pub fn snapshot_from_events(
-    instance: &Instance,
+pub fn snapshot_from_events<Sz: Demand>(
+    instance: &GInstance<Sz>,
     algorithm: &str,
-    events: &[ProbeEvent],
-) -> Result<RecoveredSnapshot, String> {
+    events: &[GProbeEvent<Sz>],
+) -> Result<RecoveredSnapshot<Sz>, String> {
     // Pass 1: find the boundary — the end of the last complete operation —
     // and count completed operations (the engine-event cursor).
     let mut boundary = 0usize;
@@ -258,7 +263,7 @@ pub fn snapshot_from_events(
         }
         if let Some(bin) = pending_close {
             match ev {
-                ProbeEvent::BinClosed { bin: b, .. } if *b == bin => {
+                GProbeEvent::BinClosed { bin: b, .. } if *b == bin => {
                     pending_close = None;
                     boundary = i + 1;
                     cursor += 1;
@@ -273,8 +278,8 @@ pub fn snapshot_from_events(
             }
         }
         match ev {
-            ProbeEvent::ItemArrived { .. } | ProbeEvent::FitAttempt { .. } => {}
-            ProbeEvent::BinOpened { bin, .. } => {
+            GProbeEvent::ItemArrived { .. } | GProbeEvent::FitAttempt { .. } => {}
+            GProbeEvent::BinOpened { bin, .. } => {
                 if bin.index() != members.len() {
                     return Err(format!(
                         "event {i}: bin {bin} opened out of order (expected b{})",
@@ -283,7 +288,7 @@ pub fn snapshot_from_events(
                 }
                 members.push(0);
             }
-            ProbeEvent::ItemPlaced { bin, .. } => {
+            GProbeEvent::ItemPlaced { bin, .. } => {
                 match members.get_mut(bin.index()) {
                     Some(count) => *count += 1,
                     None => {
@@ -293,7 +298,7 @@ pub fn snapshot_from_events(
                 boundary = i + 1;
                 cursor += 1;
             }
-            ProbeEvent::ItemDeparted { bin, .. } => match members.get_mut(bin.index()) {
+            GProbeEvent::ItemDeparted { bin, .. } => match members.get_mut(bin.index()) {
                 Some(count @ 1..) => {
                     *count -= 1;
                     if *count == 0 {
@@ -306,10 +311,10 @@ pub fn snapshot_from_events(
                 Some(0) => return Err(format!("event {i}: departure from empty bin {bin}")),
                 None => return Err(format!("event {i}: departure from never-opened bin {bin}")),
             },
-            ProbeEvent::BinClosed { bin, .. } => {
+            GProbeEvent::BinClosed { bin, .. } => {
                 return Err(format!("event {i}: unexpected BinClosed for bin {bin}"))
             }
-            ProbeEvent::Violation { message, .. } => {
+            GProbeEvent::Violation { message, .. } => {
                 return Err(format!("event {i}: journal records a violation: {message}"))
             }
             _ => unreachable!("fault events rejected above"),
@@ -323,8 +328,8 @@ pub fn snapshot_from_events(
     let mut tags: Vec<BinTag> = Vec::new();
     for (i, ev) in events[..boundary].iter().enumerate() {
         match ev {
-            ProbeEvent::BinOpened { tag, .. } => tags.push(*tag),
-            ProbeEvent::ItemPlaced { item, bin, .. } => match assignment.get_mut(item.index()) {
+            GProbeEvent::BinOpened { tag, .. } => tags.push(*tag),
+            GProbeEvent::ItemPlaced { item, bin, .. } => match assignment.get_mut(item.index()) {
                 Some(slot @ None) => *slot = Some(*bin),
                 Some(Some(_)) => return Err(format!("event {i}: item {item} placed twice")),
                 None => {

@@ -1,7 +1,7 @@
 //! The shipped FF/BF/MFF names resolve to the indexed selectors. This suite
 //! keeps the scanning selectors as an independent oracle: for every
-//! cluster path — the plain dispatch at D=1 and D=3, per-shard fault plans
-//! (`--faults`) and self-healing shard kills (`--shard-faults`) — a run
+//! cluster path — the plain dispatch and self-healing shard kills
+//! (`--shard-faults`) at D=1 and D=3, per-shard fault plans (`--faults`) — a run
 //! with the shipped name must produce byte-identical probe JSONL and
 //! trace/report JSON to the same run with the scanning selector built by
 //! type.
@@ -180,29 +180,34 @@ fn shipped_names_match_the_scanning_selectors_under_fault_plans() {
 #[test]
 fn shipped_names_match_the_scanning_selectors_under_shard_kills() {
     let inst = workload(9);
-    for (name, oracle) in pairs::<Size>() {
-        let shipped = shipped::<Size>(name);
+    assert_shard_kill_paths_agree(&inst, "D=1");
+    assert_shard_kill_paths_agree(&widen(&inst), "D=3");
+}
+
+fn assert_shard_kill_paths_agree<Sz: Demand>(inst: &GInstance<Sz>, label: &str) {
+    for (name, oracle) in pairs::<Sz>() {
+        let shipped = shipped::<Sz>(name);
         for shards in 2..=3usize {
             let plan = ShardFaultPlan::generate(7, shards, inst.len() as u64 * 2, 3);
             for router in Router::ALL {
                 let engine = ClusterEngine::new(
-                    system(inst.capacity().raw()),
+                    system(inst.capacity().component(0)),
                     ClusterConfig::new(shards, router).unwrap(),
                 );
-                let run = |f: &SelectorFactory| {
-                    let mut log = EventLog::new();
+                let run = |f: &GSelectorFactory<Sz>| {
+                    let mut log = GEventLog::<Sz>::new();
                     let run = engine
-                        .run_self_healing_probed(&inst, f, &plan, &mut log)
+                        .run_self_healing_probed(inst, f, &plan, &mut log)
                         .unwrap();
                     (
                         serde_json::to_string(&run.report).unwrap(),
                         serde_json::to_string(&run.shards).unwrap(),
-                        events_to_jsonl(log.events()),
+                        events_to_jsonl_dims(log.events()),
                     )
                 };
                 let want = run(&oracle);
                 let got = run(&shipped);
-                let at = format!("{name}/{}/{shards}", router.name());
+                let at = format!("{label} {name}/{}/{shards}", router.name());
                 assert!(
                     want.2.contains("ShardRestarted"),
                     "{at}: no shard restarted"
