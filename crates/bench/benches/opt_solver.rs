@@ -1,5 +1,6 @@
-//! Offline optimum substrate: exact branch-and-bound scaling, heuristics,
-//! bounds, and the full OPT_total integral on a realistic trace.
+//! Offline optimum substrate: exact branch-and-bound scaling, a
+//! budget-exhausted search, heuristics, bounds, and the full OPT_total
+//! integral on a realistic trace.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dbp_bench::{random_sizes, standard_workload};
@@ -20,6 +21,32 @@ fn static_solvers(c: &mut Criterion) {
             b.iter(|| black_box(ExactSolver::default().solve(s, 100)))
         });
     }
+    group.finish();
+}
+
+/// A multiset whose branch-and-bound runs out of its node budget, so every
+/// iteration expands exactly `BUDGET` nodes. Budget-exhausted solves are the
+/// bulk of the nodes `OPT_total` expands in the Theorem 5 and MFF-k sweeps;
+/// the `exact_bnb` cases above mostly finish early and do not isolate them.
+fn exhausted_search(c: &mut Criterion) {
+    const BUDGET: u64 = 100_000;
+    let solver = ExactSolver::with_node_budget(BUDGET);
+    // Sizes in [W/4, W/2] of W = 100 often defeat FFD; take the first seed
+    // whose search exhausts.
+    let sizes = (0..1_000)
+        .map(|seed| {
+            random_sizes(40, seed)
+                .into_iter()
+                .map(|s| 25 + s % 26)
+                .collect::<Vec<u64>>()
+        })
+        .find(|s| !solver.solve(s, 100).is_exact())
+        .expect("some seed exhausts the node budget");
+    let mut group = c.benchmark_group("exhausted_bnb");
+    group.sample_size(10);
+    group.bench_with_input(BenchmarkId::new("budget", BUDGET), &sizes, |b, s| {
+        b.iter(|| black_box(solver.solve(s, 100)))
+    });
     group.finish();
 }
 
@@ -79,6 +106,7 @@ fn opt_total_parallel_vs_sequential(c: &mut Criterion) {
 criterion_group!(
     benches,
     static_solvers,
+    exhausted_search,
     opt_total_integral,
     fixed_assignment_optimum,
     opt_total_parallel_vs_sequential

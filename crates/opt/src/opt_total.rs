@@ -80,20 +80,37 @@ impl OptTotal {
 /// `OPT(R, t)`: bins needed for the items active at `t`, as an `(lb, ub)`
 /// pair (equal when solved exactly).
 pub fn opt_at(instance: &Instance, t: Tick, mode: SolveMode) -> (usize, usize) {
-    let sizes: Vec<u64> = instance
+    let mut sizes: Vec<u64> = instance
         .items()
         .iter()
         .filter(|r| r.is_active_at(t))
         .map(|r| r.size.raw())
         .collect();
-    solve_multiset(&sizes, instance.capacity().raw(), mode)
+    sizes.sort_unstable();
+    let key: Vec<(u64, u32)> = sizes
+        .chunk_by(|a, b| a == b)
+        .map(|run| (run[0], run.len() as u32))
+        .collect();
+    solve_multiset(&key, instance.capacity().raw(), mode)
 }
 
-fn solve_multiset(sizes: &[u64], capacity: u64, mode: SolveMode) -> (usize, usize) {
+/// `OPT` of one active multiset, given as ascending `(size, count)` pairs.
+fn solve_multiset(key: &[(u64, u32)], capacity: u64, mode: SolveMode) -> (usize, usize) {
+    // Single distinct size: ⌈count / ⌊W/s⌋⌉ bins, exactly — this keeps the
+    // unit-size adversarial instances (Theorem 2, ~10⁵ items) integrable in
+    // linear time.
+    if let [(s, c)] = *key {
+        let bins = (c as u64).div_ceil(capacity / s) as usize;
+        return (bins, bins);
+    }
+    let sizes: Vec<u64> = key
+        .iter()
+        .flat_map(|&(s, c)| std::iter::repeat_n(s, c as usize))
+        .collect();
     match mode {
-        SolveMode::Bounds => (l2_bound(sizes, capacity), ffd(sizes, capacity)),
+        SolveMode::Bounds => (l2_bound(&sizes, capacity), ffd(&sizes, capacity)),
         SolveMode::Exact { node_budget } => {
-            match ExactSolver::with_node_budget(node_budget).solve(sizes, capacity) {
+            match ExactSolver::with_node_budget(node_budget).solve(&sizes, capacity) {
                 SolveOutcome::Exact(n) => (n, n),
                 SolveOutcome::Bounded { lb, ub } => (lb, ub),
             }
@@ -101,76 +118,73 @@ fn solve_multiset(sizes: &[u64], capacity: u64, mode: SolveMode) -> (usize, usiz
     }
 }
 
-/// Compute `OPT_total(R)` by exact piecewise-constant integration.
-pub fn opt_total(instance: &Instance, mode: SolveMode) -> OptTotal {
-    let events = schedule(instance);
-    if events.is_empty() {
-        return OptTotal {
-            lb_ticks: 0,
-            ub_ticks: 0,
-            segments: 0,
-            distinct_sets: 0,
-        };
+/// Solved multisets, keyed like [`solve_multiset`]'s input.
+type Memo = HashMap<Vec<(u64, u32)>, (usize, usize)>;
+
+fn solve_memoized(
+    memo: &mut Memo,
+    key: &[(u64, u32)],
+    capacity: u64,
+    mode: SolveMode,
+) -> (usize, usize) {
+    if let Some(&bins) = memo.get(key) {
+        return bins;
     }
+    let bins = solve_multiset(key, capacity, mode);
+    memo.insert(key.to_vec(), bins);
+    bins
+}
 
-    // Active multiset as size -> count, kept sorted in the cache key.
-    let mut active: HashMap<u64, u32> = HashMap::new();
-    let mut cache: HashMap<Vec<(u64, u32)>, (usize, usize)> = HashMap::new();
-    let mut lb_ticks: u128 = 0;
-    let mut ub_ticks: u128 = 0;
-    let mut segments = 0usize;
-    let capacity = instance.capacity().raw();
-
+/// Walk the event schedule once. After the events at each distinct tick are
+/// applied, `f(tick, next_tick, active)` sees the active multiset as
+/// ascending `(size, count)` pairs; it is constant on `[tick, next_tick)`,
+/// and `next_tick` is `None` after the last event.
+fn for_each_segment(instance: &Instance, mut f: impl FnMut(Tick, Option<Tick>, &[(u64, u32)])) {
+    let events = schedule(instance);
+    let mut active: Vec<(u64, u32)> = Vec::new();
     let mut i = 0;
-    let mut prev_tick: Option<Tick> = None;
     while i < events.len() {
         let tick = events[i].at;
-        // Integrate the segment [prev_tick, tick) with the current set.
-        if let Some(prev) = prev_tick {
-            let dur = (tick - prev).raw() as u128;
-            if dur > 0 && !active.is_empty() {
-                let mut key: Vec<(u64, u32)> = active.iter().map(|(&s, &c)| (s, c)).collect();
-                key.sort_unstable();
-                let (lb, ub) = *cache.entry(key).or_insert_with_key(|key| {
-                    // Single distinct size: ⌈count / ⌊W/s⌋⌉ bins, exactly —
-                    // this keeps the unit-size adversarial instances
-                    // (Theorem 2, ~10⁵ items) integrable in linear time.
-                    if let [(s, c)] = key[..] {
-                        let per_bin = capacity / s;
-                        let bins = (c as u64).div_ceil(per_bin) as usize;
-                        return (bins, bins);
-                    }
-                    let sizes: Vec<u64> = key
-                        .iter()
-                        .flat_map(|&(s, c)| std::iter::repeat_n(s, c as usize))
-                        .collect();
-                    solve_multiset(&sizes, capacity, mode)
-                });
-                lb_ticks += lb as u128 * dur;
-                ub_ticks += ub as u128 * dur;
-                segments += 1;
-            }
-        }
-        // Apply all events at this tick.
         while i < events.len() && events[i].at == tick {
             let ev = events[i];
             i += 1;
             let size = instance.item(ev.item).size.raw();
-            match ev.kind {
-                EventKind::Arrival => *active.entry(size).or_insert(0) += 1,
-                EventKind::Departure => {
-                    let c = active.get_mut(&size).expect("departure without arrival");
-                    *c -= 1;
-                    if *c == 0 {
-                        active.remove(&size);
+            let slot = active.binary_search_by_key(&size, |&(s, _)| s);
+            match (ev.kind, slot) {
+                (EventKind::Arrival, Ok(j)) => active[j].1 += 1,
+                (EventKind::Arrival, Err(j)) => active.insert(j, (size, 1)),
+                (EventKind::Departure, Ok(j)) => {
+                    active[j].1 -= 1;
+                    if active[j].1 == 0 {
+                        active.remove(j);
                     }
                 }
+                (EventKind::Departure, Err(_)) => panic!("departure without arrival"),
             }
         }
-        prev_tick = Some(tick);
+        f(tick, events.get(i).map(|e| e.at), &active);
     }
     debug_assert!(active.is_empty(), "items alive past the last departure");
+}
 
+/// Compute `OPT_total(R)` by exact piecewise-constant integration.
+pub fn opt_total(instance: &Instance, mode: SolveMode) -> OptTotal {
+    let capacity = instance.capacity().raw();
+    let mut cache = Memo::new();
+    let mut lb_ticks: u128 = 0;
+    let mut ub_ticks: u128 = 0;
+    let mut segments = 0usize;
+    for_each_segment(instance, |tick, next, active| {
+        let Some(next) = next else { return };
+        if active.is_empty() {
+            return;
+        }
+        let dur = (next - tick).raw() as u128;
+        let (lb, ub) = solve_memoized(&mut cache, active, capacity, mode);
+        lb_ticks += lb as u128 * dur;
+        ub_ticks += ub as u128 * dur;
+        segments += 1;
+    });
     OptTotal {
         lb_ticks,
         ub_ticks,
@@ -184,104 +198,44 @@ pub fn opt_total(instance: &Instance, mode: SolveMode) -> OptTotal {
 /// the next entry. Useful for plotting the paper's `A(R,t)` vs `OPT(R,t)`
 /// comparison directly.
 pub fn opt_timeline(instance: &Instance, mode: SolveMode) -> Vec<(Tick, usize, usize)> {
-    let ticks = dbp_core::events::event_ticks(instance);
-    let mut out = Vec::with_capacity(ticks.len());
-    let mut cache: HashMap<Vec<(u64, u32)>, (usize, usize)> = HashMap::new();
     let capacity = instance.capacity().raw();
-    for &t in &ticks {
-        let mut counts: HashMap<u64, u32> = HashMap::new();
-        for r in instance.items().iter().filter(|r| r.is_active_at(t)) {
-            *counts.entry(r.size.raw()).or_insert(0) += 1;
-        }
-        let mut key: Vec<(u64, u32)> = counts.into_iter().collect();
-        key.sort_unstable();
-        let (lb, ub) = *cache.entry(key).or_insert_with_key(|key| {
-            if let [(s, c)] = key[..] {
-                let per_bin = capacity / s;
-                let bins = (c as u64).div_ceil(per_bin) as usize;
-                return (bins, bins);
-            }
-            let sizes: Vec<u64> = key
-                .iter()
-                .flat_map(|&(s, c)| std::iter::repeat_n(s, c as usize))
-                .collect();
-            solve_multiset(&sizes, capacity, mode)
-        });
-        out.push((t, lb, ub));
-    }
+    let mut cache = Memo::new();
+    let mut out = Vec::new();
+    for_each_segment(instance, |tick, _, active| {
+        let (lb, ub) = solve_memoized(&mut cache, active, capacity, mode);
+        out.push((tick, lb, ub));
+    });
     out
 }
 
 /// Parallel `OPT_total`: one sequential sweep collects the distinct active
 /// multisets and their total durations, then the (independent, often
-/// expensive) static solves fan out over rayon. Bit-identical to
-/// [`opt_total`].
+/// expensive) static solves go through rayon's `par_iter`. Bit-identical to
+/// [`opt_total`]. The offline `rayon` shim this workspace builds against runs
+/// `par_iter` sequentially, so here it is no faster than [`opt_total`].
 pub fn opt_total_parallel(instance: &Instance, mode: SolveMode) -> OptTotal {
     use rayon::prelude::*;
 
-    let events = schedule(instance);
-    if events.is_empty() {
-        return OptTotal {
-            lb_ticks: 0,
-            ub_ticks: 0,
-            segments: 0,
-            distinct_sets: 0,
-        };
-    }
     let capacity = instance.capacity().raw();
-
     // Pass 1: total duration per distinct multiset + segment count.
-    let mut active: HashMap<u64, u32> = HashMap::new();
     let mut durations: HashMap<Vec<(u64, u32)>, u128> = HashMap::new();
     let mut segments = 0usize;
-    let mut i = 0;
-    let mut prev_tick: Option<Tick> = None;
-    while i < events.len() {
-        let tick = events[i].at;
-        if let Some(prev) = prev_tick {
-            let dur = (tick - prev).raw() as u128;
-            if dur > 0 && !active.is_empty() {
-                let mut key: Vec<(u64, u32)> = active.iter().map(|(&s, &c)| (s, c)).collect();
-                key.sort_unstable();
-                *durations.entry(key).or_insert(0) += dur;
-                segments += 1;
-            }
+    for_each_segment(instance, |tick, next, active| {
+        let Some(next) = next else { return };
+        if active.is_empty() {
+            return;
         }
-        while i < events.len() && events[i].at == tick {
-            let ev = events[i];
-            i += 1;
-            let size = instance.item(ev.item).size.raw();
-            match ev.kind {
-                EventKind::Arrival => *active.entry(size).or_insert(0) += 1,
-                EventKind::Departure => {
-                    let c = active.get_mut(&size).expect("departure without arrival");
-                    *c -= 1;
-                    if *c == 0 {
-                        active.remove(&size);
-                    }
-                }
-            }
-        }
-        prev_tick = Some(tick);
-    }
+        *durations.entry(active.to_vec()).or_insert(0) += (next - tick).raw() as u128;
+        segments += 1;
+    });
 
-    // Pass 2: independent solves in parallel.
+    // Pass 2: independent solves.
     let entries: Vec<(Vec<(u64, u32)>, u128)> = durations.into_iter().collect();
     let distinct_sets = entries.len();
     let (lb_ticks, ub_ticks) = entries
         .par_iter()
         .map(|(key, dur)| {
-            let (lb, ub) = if let [(s, c)] = key[..] {
-                let per_bin = capacity / s;
-                let bins = (c as u64).div_ceil(per_bin) as usize;
-                (bins, bins)
-            } else {
-                let sizes: Vec<u64> = key
-                    .iter()
-                    .flat_map(|&(s, c)| std::iter::repeat_n(s, c as usize))
-                    .collect();
-                solve_multiset(&sizes, capacity, mode)
-            };
+            let (lb, ub) = solve_multiset(key, capacity, mode);
             (lb as u128 * dur, ub as u128 * dur)
         })
         .reduce(|| (0, 0), |a, b| (a.0 + b.0, a.1 + b.1));

@@ -141,3 +141,50 @@ fn golden_bound_values() {
         Ratio::new(80 + 48 + 7, 7) // 8/7·10 + 48/7 + 1 = 135/7... verified below
     );
 }
+
+/// Pinned `OPT_total` on two seeded instances of the Theorem 5 sweep's
+/// quick grid (µ = 8, 80 items, sizes 5–60, node budget 100 000 as in
+/// `thm5_general_ff`). Seed 8 has segments whose search runs out of budget,
+/// so its bracket depends on exactly which nodes the branch-and-bound
+/// expands; seed 85 integrates exactly.
+#[test]
+fn golden_thm5_opt_total_brackets() {
+    use dbp_opt::OptTotal;
+    use dbp_workloads::{generate_mu_controlled, MuControlledConfig, SizeModel};
+
+    let golden = [
+        (
+            8,
+            OptTotal {
+                lb_ticks: 10_580,
+                ub_ticks: 10_602,
+                segments: 150,
+                distinct_sets: 149,
+            },
+        ),
+        (
+            85,
+            OptTotal {
+                lb_ticks: 9_012,
+                ub_ticks: 9_012,
+                segments: 154,
+                distinct_sets: 152,
+            },
+        ),
+    ];
+    for (seed, want) in golden {
+        let inst = generate_mu_controlled(&MuControlledConfig {
+            n_items: 80,
+            sizes: SizeModel::Uniform { lo: 5, hi: 60 },
+            seed,
+            ..MuControlledConfig::new(8)
+        });
+        let got = opt_total(
+            &inst,
+            SolveMode::Exact {
+                node_budget: 100_000,
+            },
+        );
+        assert_eq!(got, want, "seed {seed}");
+    }
+}
