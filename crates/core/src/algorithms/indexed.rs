@@ -15,10 +15,10 @@
 //!   no item can fit since item sizes are validated positive, until a
 //!   compaction drops them; the tree stays O(m) however many bins were
 //!   ever opened.
-//! * [`IndexedBestFit`] — a `BTreeMap<level, BTreeSet<BinId>>` keyed by the
-//!   L1 level total. "Fullest open bin with level ≤ W − s, ties to the
-//!   earliest-opened" is a range query for the greatest feasible level
-//!   followed by that bucket's minimum id, O(log m).
+//! * [`IndexedBestFit`] — an ordered map of the open bins keyed by
+//!   `(L1 level total, Reverse(id))`. "Fullest open bin with level ≤ W − s,
+//!   ties to the earliest-opened" is the last key of a range query,
+//!   O(log m), and the map holds open bins only.
 //! * [`IndexedMff`] — the paper's MFF (§4.4) on two class-segregated
 //!   residual trees, one per size class. Classification picks the tree;
 //!   within a tree the query is the same leftmost descent as indexed FF,
@@ -52,7 +52,8 @@ use crate::demand::Demand;
 use crate::item::{GArrivingItem, Size};
 use crate::packer::{BinSelector, Decision};
 use crate::ratio::Ratio;
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, HashMap};
 
 /// Max-residual segment tree over open-bin slots, generic over the demand
 /// type.
@@ -328,17 +329,18 @@ impl<Sz: Demand> BinSelector<Sz> for GIndexedFirstFit<Sz> {
 /// Best Fit answered from a level-keyed order: same decisions as
 /// [`BestFit`](super::BestFit), O(log m) per arrival. Scalar via the
 /// [`IndexedBestFit`] alias.
+///
+/// Both structures hold open bins only, so the index is O(open bins)
+/// however many bin ids were ever issued.
 #[derive(Debug, Clone, Default)]
 pub struct GIndexedBestFit<Sz> {
-    /// Open bins bucketed by current L1 level total; the BTreeSet gives the
-    /// earliest-opened (minimum id) bin within a total in O(log).
-    by_level: BTreeMap<u128, BTreeSet<BinId>>,
-    /// Current level total per bin id (`u128::MAX` = not open), for O(1)
-    /// lookup of the bucket a bin must leave on update.
-    level_of: Vec<u128>,
-    /// Current componentwise level per open bin, for the per-dimension fit
-    /// re-check at `D > 1` (redundant but harmless at `D = 1`).
-    vec_level_of: Vec<Sz>,
+    /// Open bins keyed `(L1 level total, Reverse(id))` with their
+    /// componentwise level: walking a range backwards visits the fullest
+    /// total first and, within a total, the earliest-opened bin.
+    by_level: BTreeMap<(u128, Reverse<u32>), Sz>,
+    /// Current componentwise level of each open bin, for O(1) lookup of
+    /// the key a bin must leave on update.
+    level_of: HashMap<u32, Sz>,
 }
 
 /// The scalar indexed Best Fit of the paper's model.
@@ -349,38 +351,22 @@ impl<Sz: Demand> GIndexedBestFit<Sz> {
     pub fn new() -> GIndexedBestFit<Sz> {
         GIndexedBestFit {
             by_level: BTreeMap::new(),
-            level_of: Vec::new(),
-            vec_level_of: Vec::new(),
+            level_of: HashMap::new(),
         }
     }
 
-    const CLOSED: u128 = u128::MAX;
-
+    /// Re-key `bin` at `new_level`, or drop it when it closes (`None`).
+    /// Ids that were never opened here are ignored.
     fn move_bin(&mut self, bin: BinId, new_level: Option<Sz>) {
-        let b = bin.index();
-        if b >= self.level_of.len() {
-            self.level_of.resize(b + 1, Self::CLOSED);
-            self.vec_level_of.resize(b + 1, Sz::ZERO);
+        let old = match new_level {
+            Some(level) => self.level_of.insert(bin.0, level),
+            None => self.level_of.remove(&bin.0),
+        };
+        if let Some(old) = old {
+            self.by_level.remove(&(old.total(), Reverse(bin.0)));
         }
-        let old = self.level_of[b];
-        if old != Self::CLOSED {
-            if let Some(bucket) = self.by_level.get_mut(&old) {
-                bucket.remove(&bin);
-                if bucket.is_empty() {
-                    self.by_level.remove(&old);
-                }
-            }
-        }
-        match new_level {
-            Some(level) => {
-                self.level_of[b] = level.total();
-                self.vec_level_of[b] = level;
-                self.by_level.entry(level.total()).or_default().insert(bin);
-            }
-            None => {
-                self.level_of[b] = Self::CLOSED;
-                self.vec_level_of[b] = Sz::ZERO;
-            }
+        if let Some(level) = new_level {
+            self.by_level.insert((level.total(), Reverse(bin.0)), level);
         }
     }
 }
@@ -410,14 +396,14 @@ impl<Sz: Demand> BinSelector<Sz> for GIndexedBestFit<Sz> {
         // naive generic BF (argmin by Reverse(total), ties to lowest id)
         // inspects candidates. The componentwise re-check only rejects at
         // D > 1; at D = 1 the first candidate always fits.
-        for (_, bucket) in self.by_level.range(..=bound).rev() {
-            for &id in bucket {
-                let fits = self.vec_level_of[id.index()]
-                    .checked_add(item.size)
-                    .is_some_and(|l| l.fits_within(capacity));
-                if fits {
-                    return Decision::Use(id);
-                }
+        // `Reverse(0)` is the greatest id key, so the range ends after
+        // every bin whose total is exactly `bound`.
+        for (&(_, Reverse(id)), level) in self.by_level.range(..=(bound, Reverse(0))).rev() {
+            if level
+                .checked_add(item.size)
+                .is_some_and(|l| l.fits_within(capacity))
+            {
+                return Decision::Use(BinId(id));
             }
         }
         Decision::OPEN
@@ -801,6 +787,30 @@ mod tests {
         let inst = b.build().unwrap();
         let trace = simulate_validated(&inst, &mut IndexedBestFit::new());
         assert_eq!(trace.bin_of(crate::item::ItemId(2)), BinId(0));
+    }
+
+    #[test]
+    fn indexed_bf_holds_only_open_bins() {
+        // A long churn of one-item bins: ids climb into the thousands while
+        // at most three bins are open at once, and the index tracks only
+        // those.
+        let mut bf = IndexedBestFit::new();
+        for id in 0..3_000u32 {
+            let item = GArrivingItem {
+                id: crate::item::ItemId(id),
+                arrival: crate::time::Tick(id as u64),
+                size: Size(8),
+                region: crate::item::RegionId::GLOBAL,
+            };
+            assert_eq!(bf.select(&[], &item, Size(10)), Decision::OPEN);
+            bf.on_bin_opened(BinId(id), BinTag::DEFAULT, Size(8));
+            if id >= 3 {
+                bf.on_item_departed(BinId(id - 3), Size(0));
+                bf.on_bin_closed(BinId(id - 3));
+            }
+            assert!(bf.level_of.len() <= 3);
+            assert_eq!(bf.by_level.len(), bf.level_of.len());
+        }
     }
 
     #[test]

@@ -29,8 +29,9 @@ use crate::time::Tick;
 use crate::trace::PackingTrace;
 use std::collections::HashMap;
 
-/// A packing strategy that is told departure times at assignment.
-pub trait ClairvoyantSelector {
+/// A packing strategy that is told departure times at assignment. `Send`
+/// like [`BinSelector`], which its engine adapter implements.
+pub trait ClairvoyantSelector: Send {
     /// Roster name.
     fn name(&self) -> &'static str;
     /// Choose a bin for `item` (full knowledge, including `item.departure`).

@@ -129,7 +129,7 @@ pub(crate) struct State<Sz> {
     pub(crate) assignment: Vec<Option<BinId>>,
     /// Append-only placement log in decision order; capacity reserved for
     /// the whole instance upfront, so pushes never reallocate.
-    placed: Vec<ItemId>,
+    pub(crate) placed: Vec<ItemId>,
     /// Selector-facing mirror of the open set, ascending id, updated
     /// incrementally (one entry per state change instead of a full rebuild
     /// per arrival). Skipped entirely when the selector answers from its own

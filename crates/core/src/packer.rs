@@ -56,7 +56,11 @@ impl Decision {
 /// [`on_item_departed`]: BinSelector::on_item_departed
 /// [`on_bin_closed`]: BinSelector::on_bin_closed
 /// [`needs_views`]: BinSelector::needs_views
-pub trait BinSelector<Sz: Demand = Size> {
+///
+/// Selectors are plain data and `Send`, so a pipeline owning a boxed
+/// selector can be shared between threads behind a lock (the serve
+/// daemon's shards are).
+pub trait BinSelector<Sz: Demand = Size>: Send {
     /// Short stable name used in reports ("FF", "BF", ...).
     fn name(&self) -> &'static str;
 

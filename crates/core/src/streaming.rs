@@ -16,7 +16,14 @@
 //!   typed [`StreamError::TimeTravel`], never silent reordering;
 //! * memory is bounded by the *live* state (open bins + in-flight items +
 //!   closed-bin records), not by the stream length processed so far per
-//!   tick — there is no materialized schedule.
+//!   tick — there is no materialized schedule;
+//! * an open-mode caller may recycle the id of a departed item: a
+//!   [`push_open_arrival`] on it re-arms the id, so the per-item columns
+//!   stay as long as the largest id in use rather than the number of
+//!   arrivals ever served. A re-armed engine no longer keeps the
+//!   trace-only logs (placement order, open-bin steps), and [`finish`]
+//!   refuses with [`StreamError::IdReused`], since its trace would list
+//!   that id twice.
 //!
 //! Fed the same stream, the streaming engine is **byte-identical** to
 //! [`simulate_probed`]: same [`PackingTrace`], same probe event sequence
@@ -31,6 +38,7 @@
 //! [`push_arrival`]: StreamingEngine::push_arrival
 //! [`push_open_arrival`]: StreamingEngine::push_open_arrival
 //! [`push_departure`]: StreamingEngine::push_departure
+//! [`finish`]: StreamingEngine::finish
 
 use crate::bin::BinId;
 use crate::demand::Demand;
@@ -191,6 +199,12 @@ pub enum GStreamError<Sz> {
         /// The gap.
         item: ItemId,
     },
+    /// [`finish`](StreamingEngine::finish) was called on an engine that
+    /// re-armed a departed id: a trace would list that id twice.
+    IdReused {
+        /// The first id that was re-armed.
+        item: ItemId,
+    },
 }
 
 /// The scalar stream error of the source paper's model.
@@ -234,6 +248,12 @@ impl<Sz: fmt::Display> fmt::Display for GStreamError<Sz> {
             }
             GStreamError::MissingItem { item } => {
                 write!(f, "id space has a gap: item {item} was never pushed")
+            }
+            GStreamError::IdReused { item } => {
+                write!(
+                    f,
+                    "item {item} was re-armed after departing; no trace can list it twice"
+                )
             }
         }
     }
@@ -284,6 +304,11 @@ pub struct StreamingEngine<S: BinSelector<Sz>, P: Probe<Sz>, Sz: Demand = Size> 
     in_flight: usize,
     /// Arrivals accepted so far.
     arrived: u64,
+    /// The first departed id [`push_open_arrival`] re-armed, if any. Once
+    /// set, the trace-only logs are no longer kept and `finish` refuses.
+    ///
+    /// [`push_open_arrival`]: StreamingEngine::push_open_arrival
+    reused: Option<ItemId>,
 }
 
 impl<Sz: Demand, S: BinSelector<Sz>, P: Probe<Sz>> StreamingEngine<S, P, Sz> {
@@ -312,6 +337,7 @@ impl<Sz: Demand, S: BinSelector<Sz>, P: Probe<Sz>> StreamingEngine<S, P, Sz> {
             pending_step: None,
             in_flight: 0,
             arrived: 0,
+            reused: None,
         }
     }
 
@@ -369,6 +395,9 @@ impl<Sz: Demand, S: BinSelector<Sz>, P: Probe<Sz>> StreamingEngine<S, P, Sz> {
     /// the tick moves past the pending batch, the batch's open-bin count is
     /// recorded — reproducing the batch engine's record-at-batch-end rule.
     fn note_tick(&mut self, t: Tick) {
+        if self.reused.is_some() {
+            return;
+        }
         match self.pending_step {
             Some(p) if p == t => {}
             Some(p) => {
@@ -433,6 +462,10 @@ impl<Sz: Demand, S: BinSelector<Sz>, P: Probe<Sz>> StreamingEngine<S, P, Sz> {
             arriving.id,
             decision,
         );
+        if self.reused.is_some() {
+            // No trace will be built: keep the placement log empty.
+            self.st.placed.clear();
+        }
         if let Some(started) = started {
             self.probe
                 .on_decision_ns(started.elapsed().as_nanos() as u64);
@@ -443,14 +476,17 @@ impl<Sz: Demand, S: BinSelector<Sz>, P: Probe<Sz>> StreamingEngine<S, P, Sz> {
         self.st.assignment[arriving.id.index()].expect("apply_arrival always assigns")
     }
 
-    /// Validate the parts of an arrival shared by both push flavors.
+    /// Validate the parts of an arrival shared by both push flavors,
+    /// returning the id's current phase (`Absent`, or `Departed` when
+    /// `rearm` allows a departed id back in).
     fn check_arrival(
         &mut self,
         id: ItemId,
         arrival: Tick,
         size: Sz,
         now: Tick,
-    ) -> Result<(), GStreamError<Sz>> {
+        rearm: bool,
+    ) -> Result<ItemPhase, GStreamError<Sz>> {
         if arrival < self.horizon {
             return Err(GStreamError::TimeTravel {
                 at: arrival,
@@ -474,10 +510,11 @@ impl<Sz: Demand, S: BinSelector<Sz>, P: Probe<Sz>> StreamingEngine<S, P, Sz> {
                 capacity: self.capacity,
             });
         }
-        if self.phase_of(id.index()) != ItemPhase::Absent {
-            return Err(GStreamError::DuplicateItem { item: id });
+        match self.phase_of(id.index()) {
+            ItemPhase::Absent => Ok(ItemPhase::Absent),
+            ItemPhase::Departed if rearm => Ok(ItemPhase::Departed),
+            _ => Err(GStreamError::DuplicateItem { item: id }),
         }
-        Ok(())
     }
 
     /// Push one arrival whose departure is already known (the replayed-
@@ -497,7 +534,7 @@ impl<Sz: Demand, S: BinSelector<Sz>, P: Probe<Sz>> StreamingEngine<S, P, Sz> {
                 departure: item.departure,
             });
         }
-        self.check_arrival(item.id, item.arrival, item.size, now)?;
+        self.check_arrival(item.id, item.arrival, item.size, now, false)?;
         self.drain_departures(item.arrival);
         self.sizes[item.id.index()] = item.size;
         self.phase[item.id.index()] = ItemPhase::Scheduled;
@@ -508,7 +545,15 @@ impl<Sz: Demand, S: BinSelector<Sz>, P: Probe<Sz>> StreamingEngine<S, P, Sz> {
     /// Push one arrival whose departure is *not* known — the live-daemon
     /// shape, where the departure arrives later via [`push_departure`].
     ///
+    /// The id may be one whose earlier life has departed: the push re-arms
+    /// it, so a caller recycling ids keeps the per-item columns as long as
+    /// its peak of live ids. After the first re-arm the engine stops
+    /// keeping the trace-only logs and [`finish`] refuses with
+    /// [`StreamError::IdReused`]. A live (or scheduled) id is still a
+    /// [`StreamError::DuplicateItem`].
+    ///
     /// [`push_departure`]: StreamingEngine::push_departure
+    /// [`finish`]: StreamingEngine::finish
     ///
     /// # Panics
     /// Same contract as [`push_arrival`](StreamingEngine::push_arrival).
@@ -519,7 +564,14 @@ impl<Sz: Demand, S: BinSelector<Sz>, P: Probe<Sz>> StreamingEngine<S, P, Sz> {
         region: RegionId,
         now: Tick,
     ) -> Result<BinId, GStreamError<Sz>> {
-        self.check_arrival(id, now, size, now)?;
+        if self.check_arrival(id, now, size, now, true)? == ItemPhase::Departed
+            && self.reused.is_none()
+        {
+            self.reused = Some(id);
+            self.st.placed = Vec::new();
+            self.st.steps = Vec::new();
+            self.pending_step = None;
+        }
         self.drain_departures(now);
         self.sizes[id.index()] = size;
         self.phase[id.index()] = ItemPhase::Open;
@@ -581,8 +633,11 @@ impl<Sz: Demand, S: BinSelector<Sz>, P: Probe<Sz>> StreamingEngine<S, P, Sz> {
     /// Drain every scheduled departure, seal the step function, and build
     /// the trace — the streaming counterpart of
     /// [`EngineRun::finish`](crate::engine::EngineRun::finish). Requires a
-    /// dense id space `0..n` with every item departed.
+    /// dense id space `0..n` with every item departed, and no re-armed id.
     pub fn finish(mut self) -> Result<GPackingTrace<Sz>, GStreamError<Sz>> {
+        if let Some(item) = self.reused {
+            return Err(GStreamError::IdReused { item });
+        }
         while let Some(&Reverse((t, _))) = self.departures.peek() {
             self.drain_departures(t);
         }
@@ -754,6 +809,74 @@ mod tests {
         let trace = eng.finish().unwrap();
         assert_eq!(trace.bins_used(), 1);
         assert_eq!(trace.total_cost_ticks(), 8);
+    }
+
+    #[test]
+    fn open_mode_rearms_departed_ids_and_refuses_finish() {
+        let mut eng = StreamingEngine::new(Size(10), FirstFit::new(), crate::probe::NoProbe);
+        eng.push_open_arrival(ItemId(0), Size(6), RegionId::GLOBAL, Tick(0))
+            .unwrap();
+        eng.push_open_arrival(ItemId(1), Size(3), RegionId::GLOBAL, Tick(1))
+            .unwrap();
+        // A live id is still a duplicate.
+        assert_eq!(
+            eng.push_open_arrival(ItemId(1), Size(1), RegionId::GLOBAL, Tick(2)),
+            Err(StreamError::DuplicateItem { item: ItemId(1) })
+        );
+        eng.push_departure(ItemId(0), Tick(3)).unwrap();
+        // The departed id 0 comes back for a new life, in the bin it left.
+        assert_eq!(
+            eng.push_open_arrival(ItemId(0), Size(7), RegionId::GLOBAL, Tick(4)),
+            Ok(BinId(0))
+        );
+        assert_eq!(eng.in_flight(), 2);
+        assert_eq!(
+            eng.push_open_arrival(ItemId(0), Size(1), RegionId::GLOBAL, Tick(5)),
+            Err(StreamError::DuplicateItem { item: ItemId(0) })
+        );
+        // Its second life departs like the first; the bin closes after both.
+        eng.push_departure(ItemId(0), Tick(6)).unwrap();
+        eng.push_departure(ItemId(1), Tick(7)).unwrap();
+        assert_eq!(eng.open_bins(), 0);
+        assert_eq!(eng.arrivals(), 3);
+        // The per-item columns never grew past the two ids in use.
+        assert_eq!(eng.phase.len(), 2);
+        assert_eq!(eng.finish(), Err(StreamError::IdReused { item: ItemId(0) }));
+    }
+
+    #[test]
+    fn rearm_keeps_the_probe_stream_and_drops_trace_logs() {
+        // Recycled ids change only the item ids in the event stream: the
+        // same stream pushed with fresh ids yields the same bins and ticks.
+        let stream = |recycle: bool| {
+            let mut events = Vec::new();
+            let mut eng = StreamingEngine::new(
+                Size(10),
+                FirstFit::new(),
+                FnProbe::new(|ev| events.push(ev)),
+            );
+            let id = |fresh: u32, reused: u32| ItemId(if recycle { reused } else { fresh });
+            eng.push_open_arrival(id(0, 0), Size(6), RegionId::GLOBAL, Tick(0))
+                .unwrap();
+            eng.push_departure(id(0, 0), Tick(2)).unwrap();
+            for t in 3..40u64 {
+                let it = id(t as u32 - 2, 0);
+                eng.push_open_arrival(it, Size(1 + t % 9), RegionId::GLOBAL, Tick(t))
+                    .unwrap();
+                eng.push_departure(it, Tick(t + 1)).unwrap();
+            }
+            if recycle {
+                assert!(eng.st.placed.is_empty() && eng.st.steps.is_empty());
+            }
+            drop(eng);
+            events
+        };
+        let (fresh, reused) = (stream(false), stream(true));
+        assert_eq!(fresh.len(), reused.len());
+        for (a, b) in fresh.iter().zip(&reused) {
+            assert_eq!(a.at(), b.at());
+            assert_eq!(std::mem::discriminant(a), std::mem::discriminant(b));
+        }
     }
 
     #[test]

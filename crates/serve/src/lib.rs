@@ -1,7 +1,7 @@
 //! # dbp-serve — the live dispatcher daemon
 //!
 //! Everything below the socket is the same engine the batch simulator
-//! runs: each shard worker owns a
+//! runs: each shard owns a
 //! [`StreamingEngine`](dbp_core::streaming::StreamingEngine) — the
 //! bounded-memory, event-time core proven byte-identical to
 //! `simulate_probed` — wrapped in a deterministic
@@ -9,14 +9,16 @@
 //! map, event-time admission control (reused from
 //! [`dbp_cloudsim::faults::AdmissionPolicy`]) and a write-ahead journal.
 //! The daemon layer ([`server`]) adds NDJSON-over-TCP ingest, online
-//! routing through [`dbp_cluster::route_one_dims`], bounded
-//! ingress queues with a [`server::BackpressurePolicy`], a Prometheus
+//! routing through [`dbp_cluster::route_one_dims`], a bounded wait for
+//! each shard with a [`server::BackpressurePolicy`], a Prometheus
 //! `/metrics` endpoint, and the graceful drain protocol that seals every
 //! journal and emits one conserved ledger.
 //!
-//! No external runtime: std-only TCP, thread-per-connection, one worker
-//! thread per shard. Memory in the hot path is O(live sessions + open
-//! bins), never O(stream length).
+//! No external runtime: std-only TCP, thread-per-connection, and no shard
+//! threads — each connection thread runs its requests on the shard's
+//! pipeline under that shard's lock. Per-item memory is O(peak live
+//! sessions), never O(stream length); one record per bin ever opened is
+//! what still grows (see [`server`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -1,44 +1,57 @@
 //! The live dispatcher daemon: TCP accept loop, thread-per-connection
-//! readers, per-shard worker threads over [`ShardPipeline`], a Prometheus
+//! readers that run the shard pipelines themselves, a Prometheus
 //! `/metrics` endpoint, and the graceful drain protocol.
 //!
 //! ## Threading model
 //!
 //! ```text
-//! accept loop ──spawns──▶ connection threads (parse, route, enqueue, reply)
-//!                              │ bounded sync_channel per shard
+//! accept loop ──spawns──▶ connection threads: read → parse → route (front
+//!                         door) → lock shard k → handle + publish + reply
+//!                              │ one Mutex<pipeline> per shard, plus a count
+//!                              │ of the requests waiting for it
 //!                              ▼
-//!                         shard workers (own a ShardPipeline + journal)
+//!                         shard pipelines (ShardPipeline + journal)
 //! metrics loop ──────────  serves GET /metrics from shared atomics
 //! ```
 //!
-//! Every queue is bounded: the per-shard ingress channel holds at most
-//! `admission.queue_capacity` messages, the session table at most
-//! `max_sessions` live sessions, and each shard engine's memory is O(live
-//! sessions + open bins) — nothing in the hot path grows with total stream
-//! length except the append-only journal on disk.
+//! There are no shard threads: the connection thread that routed a request
+//! runs it on the shard's pipeline under the shard's lock and answers it,
+//! so a reply costs no thread hand-off. Every complete line of one `read`
+//! is answered, in order, by a single `write`.
+//!
+//! Memory is bounded where it could grow with traffic: at most
+//! `admission.queue_capacity` requests wait for one shard under
+//! [`BackpressurePolicy::Shed`] (and at most one per connection under
+//! `Block`); the session table holds at most `max_sessions` live sessions;
+//! a connection buffers at most [`MAX_LINE_BYTES`] of an unfinished line;
+//! and each shard recycles the internal ids of departed sessions, so its
+//! per-item columns are as long as its peak of live sessions. What still
+//! grows with the stream is one record per bin ever opened (the bin ids
+//! the replies carry are never reused) and the append-only journal on disk.
 //!
 //! ## Backpressure
 //!
-//! With [`BackpressurePolicy::Block`], a full shard queue blocks the
-//! connection that is pushing (TCP backpressure propagates to the client).
-//! With [`BackpressurePolicy::Shed`], a full queue sheds the arrival with a
-//! `queue_full` refusal, accounted in the ledger. Departures are **never**
-//! shed — dropping a release would leak capacity — so they always use the
-//! blocking path.
+//! With [`BackpressurePolicy::Block`], a request waits for its shard's lock
+//! however many requests are ahead of it; the waiting connection stops
+//! reading, so TCP backpressure reaches the client. With
+//! [`BackpressurePolicy::Shed`], an arrival that finds `queue_capacity`
+//! requests already waiting for its shard is refused with `queue_full`,
+//! accounted in the ledger. Departures are **never** shed — dropping a
+//! release would leak capacity — so they always wait.
 //!
 //! ## Drain protocol
 //!
 //! On SIGINT/SIGTERM (or [`crate::shutdown::request_shutdown`]): stop
-//! accepting connections → connection readers exit at their next timeout →
-//! shard queues disconnect and drain → pipelines seal their journals
-//! (flush + fsync + length frame) → the daemon emits one final
-//! [`ServeSummary`] whose ledger conserves `served + dropped + lost ==
-//! total`.
+//! accepting connections → each connection answers the lines it has read
+//! and exits at its next read-timeout poll → once every connection is
+//! joined, each pipeline is sealed (journal flush + fsync + length frame)
+//! → the daemon emits one final [`ServeSummary`] whose ledger conserves
+//! `served + dropped + lost == total`. A request is served by the thread
+//! that read it, so none is ever queued at drain and `lost` is always 0.
 
 use dbp_cloudsim::faults::AdmissionPolicy;
 use dbp_cluster::router::Router;
-use dbp_cluster::vector::{
+use dbp_cluster::router::{
     apply_route_dims, route_one_dims, unapply_route_dims, zero_loads, DimLoads,
 };
 use dbp_core::algorithms::selector_for;
@@ -54,17 +67,25 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{mpsc, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use crate::protocol::{parse_line_dims, Reply, Request, MAX_DIMS};
 use crate::shard::{GShardPipeline, Outcome, ServeProbe, ShardLedger, ShardPipeline};
 
-/// What to do when a shard's bounded ingress queue is full.
+/// The longest request line a connection accepts, in bytes (newline
+/// excluded). A longer line is refused once, counted in `bad_lines`, and
+/// skipped up to its newline, so a client that never sends one cannot grow
+/// the daemon's memory.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// Bytes a connection asks for per `read`.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// What to do when `queue_capacity` requests already wait for a shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackpressurePolicy {
-    /// Block the pushing connection until the queue has room.
+    /// Wait for the shard like every other request.
     Block,
     /// Refuse the arrival with a ledgered `queue_full` drop.
     Shed,
@@ -110,8 +131,9 @@ pub struct ServeConfig {
     /// Per-dimension bin capacities (length must equal `dims`); `None`
     /// splats `capacity` across every dimension.
     pub capacities: Option<Vec<u64>>,
-    /// Bounded-queue admission: `queue_capacity` sizes each shard's ingress
-    /// channel, `queue_timeout` is the event-time shed threshold.
+    /// Admission: `queue_capacity` is how many requests may wait for one
+    /// shard before [`BackpressurePolicy::Shed`] refuses an arrival,
+    /// `queue_timeout` is the event-time shed threshold.
     pub admission: AdmissionPolicy,
     /// Full-queue behavior for arrivals.
     pub backpressure: BackpressurePolicy,
@@ -190,7 +212,8 @@ pub struct ShardReport {
     pub rejected: u64,
     /// Departures applied.
     pub departed: u64,
-    /// Arrivals enqueued but never processed (teardown leftovers).
+    /// Arrivals accepted but never processed. Always 0: every request is
+    /// served by the connection thread that read it.
     pub lost: u64,
     /// Sessions still in flight at drain (served, not lost).
     pub in_flight: u64,
@@ -212,11 +235,14 @@ pub struct ServeSummary {
     pub served: u64,
     /// Arrivals refused anywhere: front door or pipeline.
     pub dropped: u64,
-    /// Arrivals accepted into a queue but never processed.
+    /// Arrivals accepted but never processed. Always 0: every request is
+    /// served by the connection thread that read it, so none is queued at
+    /// drain. Kept so the ledger reads the same as the batch simulator's.
     pub lost: u64,
     /// Departures applied.
     pub departed: u64,
-    /// Front-door sheds: bounded ingress queue full ([`BackpressurePolicy::Shed`]).
+    /// Front-door sheds: `queue_capacity` requests already waiting for the
+    /// shard ([`BackpressurePolicy::Shed`]).
     pub dropped_queue_full: u64,
     /// Front-door sheds: session table full.
     pub dropped_table_full: u64,
@@ -257,7 +283,6 @@ struct ShardCounters {
     departed: AtomicU64,
     dropped_timeout: AtomicU64,
     rejected: AtomicU64,
-    accepted: AtomicU64,
     open_bins: AtomicU64,
     in_flight: AtomicU64,
     bins_opened: AtomicU64,
@@ -271,7 +296,6 @@ impl ShardCounters {
             departed: AtomicU64::new(0),
             dropped_timeout: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            accepted: AtomicU64::new(0),
             open_bins: AtomicU64::new(0),
             in_flight: AtomicU64::new(0),
             bins_opened: AtomicU64::new(0),
@@ -339,12 +363,6 @@ impl ServeMetrics {
     }
 }
 
-/// One message on a shard's bounded ingress queue.
-struct ShardMsg {
-    req: Request,
-    reply: Sender<Reply>,
-}
-
 /// Front-door shared state: the bounded session table and the live
 /// per-shard load view the least-loaded router consults.
 struct FrontDoor {
@@ -354,13 +372,19 @@ struct FrontDoor {
     /// add-on-route / subtract-on-depart — the fold the batch router proves
     /// consistent. At `dims == 1` this is the scalar load view.
     loads: DimLoads,
-    /// Ingress senders; `None` once drain has begun.
-    txs: Option<Vec<SyncSender<ShardMsg>>>,
+}
+
+/// One shard: its pipeline, run under the lock by whichever connection
+/// thread routed the request, and the number of requests waiting for it.
+struct Shard {
+    pipe: Mutex<Box<dyn DynPipeline>>,
+    waiting: AtomicU64,
 }
 
 struct Shared {
     cfg: ServeConfig,
     front: Mutex<FrontDoor>,
+    shards: Vec<Shard>,
     metrics: ServeMetrics,
     stop: &'static AtomicBool,
 }
@@ -406,40 +430,28 @@ pub fn run_server(
     };
 
     assert!(cfg.shards > 0, "a daemon needs at least one shard");
-    let queue_cap = (cfg.admission.queue_capacity as usize).max(1);
-    let mut txs = Vec::with_capacity(cfg.shards);
-    let mut rxs = Vec::with_capacity(cfg.shards);
-    for _ in 0..cfg.shards {
-        let (tx, rx) = mpsc::sync_channel::<ShardMsg>(queue_cap);
-        txs.push(tx);
-        rxs.push(rx);
-    }
-    let shards = cfg.shards;
+    let shards = (0..cfg.shards)
+        .map(|k| {
+            Ok(Shard {
+                pipe: Mutex::new(open_pipeline(k, &cfg, factory)?),
+                waiting: AtomicU64::new(0),
+            })
+        })
+        .collect::<Result<Vec<_>, String>>()?;
     let shared = Shared {
-        metrics: ServeMetrics::new(shards),
+        metrics: ServeMetrics::new(cfg.shards),
         front: Mutex::new(FrontDoor {
             sessions: HashMap::new(),
-            loads: zero_loads(shards, cfg.dims),
-            txs: Some(txs),
+            loads: zero_loads(cfg.shards, cfg.dims),
         }),
+        shards,
         cfg,
         stop,
     };
 
     on_ready(&handle);
 
-    let mut reports: Vec<ShardReport> = Vec::new();
     std::thread::scope(|s| -> Result<(), String> {
-        // Shard workers.
-        let workers: Vec<_> = rxs
-            .into_iter()
-            .enumerate()
-            .map(|(k, rx)| {
-                let shared = &shared;
-                s.spawn(move || shard_worker(k, rx, shared, factory))
-            })
-            .collect();
-
         // Metrics endpoint.
         if let Some(l) = metrics_listener {
             let shared = &shared;
@@ -476,29 +488,30 @@ pub fn run_server(
         for c in conns {
             let _ = c.join();
         }
-        // Disconnect the shard queues; workers drain what is left and seal.
-        shared.front.lock().unwrap().txs = None;
-        for w in workers {
-            reports.push(w.join().map_err(|_| "shard worker panicked".to_string())?);
-        }
         Ok(())
     })?;
 
-    reports.sort_by_key(|r| r.shard);
-    let m = &shared.metrics;
+    // Every connection is joined: no request can reach a pipeline again.
+    let Shared {
+        shards, metrics: m, ..
+    } = shared;
+    let reports = shards
+        .into_iter()
+        .enumerate()
+        .map(|(k, shard)| seal_shard(k, shard))
+        .collect::<Result<Vec<_>, String>>()?;
     let ld = Ordering::Relaxed;
     let front_drops = m.queue_full.load(ld) + m.table_full.load(ld) + m.duplicate.load(ld);
     let offered: u64 = reports.iter().map(|r| r.offered).sum();
-    let lost: u64 = reports.iter().map(|r| r.lost).sum();
     let summary = ServeSummary {
-        total: offered + lost + front_drops,
+        total: offered + front_drops,
         served: reports.iter().map(|r| r.placed).sum(),
         dropped: front_drops
             + reports
                 .iter()
                 .map(|r| r.dropped_timeout + r.rejected)
                 .sum::<u64>(),
-        lost,
+        lost: 0,
         departed: reports.iter().map(|r| r.departed).sum(),
         dropped_queue_full: m.queue_full.load(ld),
         dropped_table_full: m.table_full.load(ld),
@@ -514,11 +527,12 @@ pub fn run_server(
     Ok(summary)
 }
 
-/// The dimension-erased face of [`GShardPipeline`]: exactly what the shard
-/// worker's hot loop needs. One monomorphization per supported `D` exists
-/// behind [`build_pipeline`]'s `match`, chosen once at daemon start — the
-/// per-request path pays one vtable hop, never a dims branch.
-trait DynPipeline {
+/// The dimension-erased face of [`GShardPipeline`]: exactly what a
+/// connection thread needs to serve a request. One monomorphization per
+/// supported `D` exists behind [`build_pipeline`]'s `match`, chosen once at
+/// daemon start — the per-request path pays one vtable hop, never a dims
+/// branch. `Send`, so it can sit behind the shard's lock.
+trait DynPipeline: Send {
     fn handle(&mut self, req: &Request) -> Outcome;
     fn open_bins(&self) -> usize;
     fn in_flight(&self) -> usize;
@@ -585,7 +599,7 @@ fn build_pipeline(
     }
 }
 
-/// A shard report carrying only an error (journal open / seal failures).
+/// A shard report carrying only an error (a journal that failed to seal).
 fn error_report(k: usize, bins_opened: u64, error: String) -> ShardReport {
     ShardReport {
         shard: k as u64,
@@ -602,41 +616,37 @@ fn error_report(k: usize, bins_opened: u64, error: String) -> ShardReport {
     }
 }
 
-/// One shard worker: drains its ingress queue into a [`GShardPipeline`]
-/// monomorphized for the configured dims, publishes counters, and seals
-/// the journal on disconnect.
-fn shard_worker(
+/// Shard `k`'s pipeline, monomorphized for the configured dims, with its
+/// journal open when journaling is on.
+fn open_pipeline(
     k: usize,
-    rx: Receiver<ShardMsg>,
-    shared: &Shared,
+    cfg: &ServeConfig,
     factory: &SelectorFactory,
-) -> ShardReport {
-    let probe = match &shared.cfg.journal_base {
+) -> Result<Box<dyn DynPipeline>, String> {
+    let probe = match &cfg.journal_base {
         Some(base) => {
             let path = journal_shard_path(base, k);
-            match JournalProbe::create_dims(&path, shared.cfg.fsync, shared.cfg.dims) {
-                Ok(j) => ServeProbe { journal: Some(j) },
-                Err(e) => {
-                    return error_report(k, 0, format!("open journal {}: {e}", path.display()))
-                }
+            let journal = JournalProbe::create_dims(&path, cfg.fsync, cfg.dims)
+                .map_err(|e| format!("open journal {}: {e}", path.display()))?;
+            ServeProbe {
+                journal: Some(journal),
             }
         }
         None => ServeProbe::default(),
     };
-    let mut pipe = match build_pipeline(&shared.cfg, factory, probe) {
-        Ok(p) => p,
-        Err(e) => return error_report(k, 0, e),
-    };
-    let counters = &shared.metrics.shards[k];
-    while let Ok(msg) = rx.recv() {
-        let outcome = pipe.handle(&msg.req);
-        publish(counters, &*pipe, &msg.req, &outcome);
-        let reply = reply_for(k, &msg.req, &outcome);
-        let _ = msg.reply.send(reply);
-    }
+    build_pipeline(cfg, factory, probe)
+}
+
+/// Seal shard `k`'s journal and report its ledger. A pipeline poisoned by a
+/// panicking connection is a daemon bug: the drain fails rather than
+/// report a ledger it cannot vouch for.
+fn seal_shard(k: usize, shard: Shard) -> Result<ShardReport, String> {
+    let pipe = shard
+        .pipe
+        .into_inner()
+        .map_err(|_| format!("shard {k}: a connection panicked while serving it"))?;
     let bins_opened = pipe.bins_opened() as u64;
-    let accepted = counters.accepted.load(Ordering::Relaxed);
-    match pipe.seal() {
+    Ok(match pipe.seal() {
         Ok((ledger, in_flight, open_bins)) => ShardReport {
             shard: k as u64,
             offered: ledger.offered,
@@ -644,14 +654,14 @@ fn shard_worker(
             dropped_timeout: ledger.dropped_timeout,
             rejected: ledger.rejected,
             departed: ledger.departed,
-            lost: accepted.saturating_sub(ledger.offered),
+            lost: 0,
             in_flight: in_flight as u64,
             open_bins: open_bins as u64,
             bins_opened,
             error: None,
         },
         Err(e) => error_report(k, bins_opened, e),
-    }
+    })
 }
 
 /// Per-shard journal path: `{base}.shard{k}` — the same layout `dbp
@@ -702,7 +712,76 @@ fn reply_for(shard: usize, req: &Request, outcome: &Outcome) -> Reply {
     }
 }
 
-/// One connection: read NDJSON lines, route, enqueue, reply in order.
+/// One line of a connection's byte stream, as [`LineReader`] cuts it.
+#[derive(Debug, PartialEq, Eq)]
+enum Line<'a> {
+    /// A complete line, newline stripped.
+    Text(&'a [u8]),
+    /// A line longer than [`MAX_LINE_BYTES`]; its bytes are dropped.
+    TooLong,
+}
+
+/// Cuts a connection's reads into lines. Lines that end inside one read are
+/// handed out straight from that read's bytes; only the unfinished tail is
+/// kept, and never more than [`MAX_LINE_BYTES`] of it.
+#[derive(Debug, Default)]
+struct LineReader {
+    /// The unfinished line carried over from earlier reads.
+    partial: Vec<u8>,
+    /// Dropping the rest of an over-long line, up to its newline.
+    skipping: bool,
+}
+
+impl LineReader {
+    /// Hand every line `data` completes to `on_line`, in order.
+    fn feed(&mut self, data: &[u8], mut on_line: impl FnMut(Line<'_>)) {
+        let mut rest = data;
+        if self.skipping || !self.partial.is_empty() {
+            let Some(nl) = rest.iter().position(|&b| b == b'\n') else {
+                self.keep(rest, &mut on_line);
+                return;
+            };
+            if self.skipping {
+                self.skipping = false;
+            } else {
+                self.partial.extend_from_slice(&rest[..nl]);
+                on_line(Self::line(&self.partial));
+                self.partial.clear();
+            }
+            rest = &rest[nl + 1..];
+        }
+        while let Some(nl) = rest.iter().position(|&b| b == b'\n') {
+            on_line(Self::line(&rest[..nl]));
+            rest = &rest[nl + 1..];
+        }
+        self.keep(rest, &mut on_line);
+    }
+
+    /// Keep an unfinished tail, refusing the line once it outgrows the cap.
+    fn keep(&mut self, tail: &[u8], on_line: &mut impl FnMut(Line<'_>)) {
+        if self.skipping {
+            return;
+        }
+        if self.partial.len() + tail.len() > MAX_LINE_BYTES {
+            on_line(Line::TooLong);
+            self.partial = Vec::new();
+            self.skipping = true;
+        } else {
+            self.partial.extend_from_slice(tail);
+        }
+    }
+
+    fn line(bytes: &[u8]) -> Line<'_> {
+        if bytes.len() > MAX_LINE_BYTES {
+            Line::TooLong
+        } else {
+            Line::Text(bytes)
+        }
+    }
+}
+
+/// One connection: read NDJSON lines, serve each on its shard, and answer
+/// every line of one read with one write, in order.
 fn handle_connection(stream: TcpStream, shared: &Shared) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(
         shared.cfg.read_timeout_ms.max(1),
@@ -710,51 +789,52 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     let _ = stream.set_nodelay(true);
     let mut reader = stream.try_clone().expect("clone stream");
     let mut writer = stream;
-    // Per-connection sender clones; dropped when the connection exits.
-    let txs: Option<Vec<SyncSender<ShardMsg>>> = shared.front.lock().unwrap().txs.clone();
-    let Some(txs) = txs else { return }; // already draining
-    let (rtx, rrx) = mpsc::channel::<Reply>();
-
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    'conn: loop {
-        // Serve every complete line already buffered.
-        while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = buf.drain(..=pos).collect();
-            let line = String::from_utf8_lossy(&line[..line.len() - 1]);
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let reply = serve_line(line, shared, &txs, &rtx, &rrx);
-            let mut out = reply.to_line();
-            out.push('\n');
-            if writer.write_all(out.as_bytes()).is_err() {
-                break 'conn;
-            }
-        }
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        match reader.read(&mut chunk) {
+    let mut lines = LineReader::default();
+    let mut chunk = vec![0u8; READ_CHUNK];
+    let mut out: Vec<u8> = Vec::new();
+    while !shared.stop.load(Ordering::SeqCst) {
+        let n = match reader.read(&mut chunk) {
             Ok(0) => break,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Ok(n) => n,
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                 continue;
             }
             Err(_) => break,
+        };
+        lines.feed(&chunk[..n], |line| {
+            let reply = match line {
+                Line::Text(bytes) => {
+                    let text = String::from_utf8_lossy(bytes);
+                    let text = text.trim();
+                    if text.is_empty() {
+                        return;
+                    }
+                    serve_line(text, shared)
+                }
+                Line::TooLong => {
+                    shared.metrics.bad_lines.fetch_add(1, Ordering::Relaxed);
+                    Reply::refused(
+                        0,
+                        format!(
+                            "line_too_long: a request line holds at most {MAX_LINE_BYTES} bytes"
+                        ),
+                    )
+                }
+            };
+            out.extend_from_slice(reply.to_line().as_bytes());
+            out.push(b'\n');
+        });
+        if !out.is_empty() {
+            if writer.write_all(&out).is_err() {
+                break;
+            }
+            out.clear();
         }
     }
 }
 
 /// Parse, route and serve one request line, returning the reply to write.
-fn serve_line(
-    line: &str,
-    shared: &Shared,
-    txs: &[SyncSender<ShardMsg>],
-    rtx: &Sender<Reply>,
-    rrx: &Receiver<Reply>,
-) -> Reply {
+fn serve_line(line: &str, shared: &Shared) -> Reply {
     let req = match parse_line_dims(line, shared.cfg.dims) {
         Ok(r) => r,
         Err(e) => {
@@ -786,38 +866,18 @@ fn serve_line(
                     .store(front.sessions.len() as u64, Ordering::Relaxed);
                 shard
             };
-            let msg = ShardMsg {
-                req,
-                reply: rtx.clone(),
-            };
-            let enqueued = match shared.cfg.backpressure {
-                BackpressurePolicy::Block => txs[shard].send(msg).is_ok(),
-                BackpressurePolicy::Shed => match txs[shard].try_send(msg) {
-                    Ok(()) => true,
-                    Err(TrySendError::Full(_)) => {
-                        shared.metrics.queue_full.fetch_add(1, Ordering::Relaxed);
-                        undo_route(shared, id);
-                        return Reply::refused(id, DropReason::QueueFull.name());
-                    }
-                    Err(TrySendError::Disconnected(_)) => false,
-                },
-            };
-            if !enqueued {
+            let shed = shared.cfg.backpressure == BackpressurePolicy::Shed;
+            let Some(outcome) = serve_on_shard(shared, shard, &req, shed) else {
+                shared.metrics.queue_full.fetch_add(1, Ordering::Relaxed);
                 undo_route(shared, id);
-                return Reply::refused(id, "draining");
-            }
-            shared.metrics.shards[shard]
-                .accepted
-                .fetch_add(1, Ordering::Relaxed);
-            let reply = rrx
-                .recv()
-                .unwrap_or_else(|_| Reply::refused(id, "draining"));
-            if !reply.ok {
+                return Reply::refused(id, DropReason::QueueFull.name());
+            };
+            if !matches!(outcome, Outcome::Placed { .. }) {
                 // The pipeline refused it (timeout shed, oversized, …);
                 // release the session-table slot and the routed load.
                 undo_route(shared, id);
             }
-            reply
+            reply_for(shard, &req, &outcome)
         }
         Request::Depart { id, .. } => {
             let shard = {
@@ -832,18 +892,32 @@ fn serve_line(
                     .store(front.sessions.len() as u64, Ordering::Relaxed);
                 shard
             };
-            // Departures free capacity: never shed, always block.
-            let msg = ShardMsg {
-                req,
-                reply: rtx.clone(),
-            };
-            if txs[shard].send(msg).is_err() {
-                return Reply::refused(id, "draining");
-            }
-            rrx.recv()
-                .unwrap_or_else(|_| Reply::refused(id, "draining"))
+            // Departures free capacity: never shed, always wait.
+            let outcome = serve_on_shard(shared, shard, &req, false).expect("departures wait");
+            reply_for(shard, &req, &outcome)
         }
     }
+}
+
+/// Run `req` on shard `k`'s pipeline on this thread and publish the
+/// shard's counters. Returns `None`, having touched nothing, when `shed`
+/// is set and `queue_capacity` requests already wait for the shard.
+///
+/// # Panics
+/// Panics if an earlier request panicked inside this shard's pipeline.
+fn serve_on_shard(shared: &Shared, k: usize, req: &Request, shed: bool) -> Option<Outcome> {
+    let shard = &shared.shards[k];
+    let ahead = shard.waiting.fetch_add(1, Ordering::AcqRel);
+    let cap = u64::from(shared.cfg.admission.queue_capacity).max(1);
+    if shed && ahead >= cap {
+        shard.waiting.fetch_sub(1, Ordering::AcqRel);
+        return None;
+    }
+    let mut pipe = shard.pipe.lock().expect("shard pipeline poisoned");
+    shard.waiting.fetch_sub(1, Ordering::AcqRel);
+    let outcome = pipe.handle(req);
+    publish(&shared.metrics.shards[k], &**pipe, req, &outcome);
+    Some(outcome)
 }
 
 /// Roll a routed-but-refused arrival back out of the front door.
@@ -920,5 +994,65 @@ fn metrics_loop(listener: TcpListener, shared: &Shared) {
             }
             Err(_) => break,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Feed `reads` one after another; collect every line handed out.
+    fn lines_of(reads: &[&[u8]]) -> Vec<Result<String, ()>> {
+        let mut r = LineReader::default();
+        let mut got = Vec::new();
+        for data in reads {
+            r.feed(data, |line| {
+                got.push(match line {
+                    Line::Text(b) => Ok(String::from_utf8(b.to_vec()).unwrap()),
+                    Line::TooLong => Err(()),
+                })
+            });
+            assert!(r.partial.len() <= MAX_LINE_BYTES);
+        }
+        got
+    }
+
+    #[test]
+    fn lines_split_across_reads_are_joined() {
+        assert_eq!(
+            lines_of(&[b"a\nbb", b"b\n", b"", b"cc", b"c\nd\n", b"tail"]),
+            vec![
+                Ok("a".to_string()),
+                Ok("bbb".to_string()),
+                Ok("ccc".to_string()),
+                Ok("d".to_string())
+            ]
+        );
+    }
+
+    #[test]
+    fn an_over_long_line_is_refused_once_and_skipped() {
+        let big = vec![b'x'; 4 * MAX_LINE_BYTES];
+        // Arriving in pieces, the line is refused as soon as it outgrows the
+        // cap; the rest of it up to the newline is dropped.
+        let pieces: Vec<&[u8]> = big.chunks(1000).collect();
+        let mut reads = vec![&b"ping\n"[..]];
+        reads.extend(pieces);
+        reads.push(b"xx\nok\n");
+        assert_eq!(
+            lines_of(&reads),
+            vec![Ok("ping".to_string()), Err(()), Ok("ok".to_string())]
+        );
+        // Whole inside one read, it is refused the same way.
+        let mut one = big.clone();
+        one.extend_from_slice(b"\nok\n");
+        assert_eq!(lines_of(&[&one]), vec![Err(()), Ok("ok".to_string())]);
+        // A line of exactly the cap is served.
+        let head = vec![b'y'; MAX_LINE_BYTES / 2];
+        let tail = [&head[..], b"\n"].concat();
+        assert_eq!(
+            lines_of(&[&head, &tail]),
+            vec![Ok("y".repeat(MAX_LINE_BYTES))]
+        );
     }
 }

@@ -6,8 +6,20 @@
 //! event-time admission check reused from
 //! [`dbp_cloudsim::faults::AdmissionPolicy`], and an optional write-ahead
 //! journal. Everything here is synchronous and deterministic: the daemon
-//! wraps one pipeline per worker thread, tests and the shed-determinism
+//! keeps one pipeline per shard behind a lock and runs it on whichever
+//! connection thread routed the request; tests and the shed-determinism
 //! proptest drive it directly.
+//!
+//! ## Internal ids
+//!
+//! The engine's per-item columns are indexed by internal id, so the
+//! pipeline recycles ids: a departed session's id goes on a free list, as
+//! does one burned by a timeout drop or a refused arrival, and the next
+//! arrival takes the most recently freed one. The largest id ever issued
+//! is therefore the shard's peak of sessions in flight, however long the
+//! daemon runs. Journals carry these recycled ids; `dbp recover` keys
+//! items by insert/remove and bins by their dense ids, so it audits them
+//! unchanged. Bin ids are never recycled.
 //!
 //! ## Admission semantics
 //!
@@ -16,9 +28,9 @@
 //! rewinds), the queueing delay is `wait = now − at`, and
 //! `wait >= queue_timeout` is a [`DropReason::QueueTimeout`] drop — the
 //! boundary `wait == timeout` drops, exactly as in the batch simulator.
-//! Queue-*capacity* sheds happen at the daemon's front door (the bounded
-//! ingress channel) before a message reaches the pipeline, so they are
-//! ledgered by the server, not here.
+//! Queue-*capacity* sheds happen at the daemon's front door (too many
+//! requests already waiting for the shard) before a request reaches the
+//! pipeline, so they are ledgered by the server, not here.
 
 use dbp_cloudsim::faults::AdmissionPolicy;
 use dbp_core::bin::BinId;
@@ -26,7 +38,7 @@ use dbp_core::demand::Demand;
 use dbp_core::item::{ItemId, RegionId, Size};
 use dbp_core::packer::BinSelector;
 use dbp_core::probe::{DropReason, GProbeEvent, Probe};
-use dbp_core::streaming::StreamingEngine;
+use dbp_core::streaming::{GStreamError, StreamingEngine};
 use dbp_core::time::Tick;
 use dbp_obs::journal::JournalProbe;
 use std::collections::HashMap;
@@ -107,8 +119,12 @@ pub enum Outcome {
 pub struct GShardPipeline<Sz: Demand = Size> {
     engine: StreamingEngine<Box<dyn BinSelector<Sz>>, ServeProbe, Sz>,
     admission: AdmissionPolicy,
-    /// Live external id → dense internal engine id.
+    /// Live external id → internal engine id.
     sessions: HashMap<u64, ItemId>,
+    /// Internal ids free for reuse, most recently freed last.
+    free: Vec<ItemId>,
+    /// Internal ids ever issued: one more than the largest, and the length
+    /// of the engine's per-item columns.
     next_internal: u32,
     /// Running accounting, updated on every request.
     pub ledger: ShardLedger,
@@ -138,6 +154,7 @@ impl<Sz: Demand> GShardPipeline<Sz> {
             engine: StreamingEngine::new(capacity, selector, probe),
             admission,
             sessions: HashMap::new(),
+            free: Vec::new(),
             next_internal: 0,
             ledger: ShardLedger::default(),
         }
@@ -183,7 +200,7 @@ impl<Sz: Demand> GShardPipeline<Sz> {
                 reason: format!("duplicate session id {external}"),
             };
         }
-        if self.next_internal == u32::MAX {
+        if self.free.is_empty() && self.next_internal == u32::MAX {
             self.ledger.rejected += 1;
             return Outcome::Rejected {
                 reason: "shard id space exhausted".to_string(),
@@ -205,9 +222,13 @@ impl<Sz: Demand> GShardPipeline<Sz> {
         let at = Tick(at);
         let now = self.engine.horizon().max(at);
         let wait = now.raw() - at.raw();
-        let internal = ItemId(self.next_internal);
-        if wait >= self.admission.queue_timeout {
+        let internal = self.free.pop().unwrap_or_else(|| {
             self.next_internal += 1;
+            ItemId(self.next_internal - 1)
+        });
+        if wait >= self.admission.queue_timeout {
+            // The journal names the burned id; it is free again at once.
+            self.free.push(internal);
             Probe::<Sz>::record(
                 self.engine.probe_mut(),
                 GProbeEvent::ItemDropped {
@@ -226,17 +247,24 @@ impl<Sz: Demand> GShardPipeline<Sz> {
             .push_open_arrival(internal, size, RegionId::GLOBAL, now)
         {
             Ok(bin) => {
-                self.next_internal += 1;
                 self.sessions.insert(external, internal);
                 self.ledger.placed += 1;
                 Outcome::Placed { bin }
             }
             Err(e) => {
                 // ZeroSize / Oversized — the internal id was never used.
+                // The refusal names the client's session, not the recycled
+                // internal id.
+                self.free.push(internal);
                 self.ledger.rejected += 1;
-                Outcome::Rejected {
-                    reason: e.to_string(),
-                }
+                let reason = match e {
+                    GStreamError::Oversized { size, capacity, .. } => {
+                        format!("session {external} (size {size}) exceeds capacity {capacity}")
+                    }
+                    GStreamError::ZeroSize { .. } => format!("session {external} has size 0"),
+                    other => other.to_string(),
+                };
+                Outcome::Rejected { reason }
             }
         }
     }
@@ -252,6 +280,7 @@ impl<Sz: Demand> GShardPipeline<Sz> {
         match self.engine.push_departure(internal, now) {
             Ok(()) => {
                 self.sessions.remove(&external);
+                self.free.push(internal);
                 self.ledger.departed += 1;
                 Outcome::Departed
             }
@@ -371,6 +400,89 @@ mod tests {
         assert!(ledger.conserved());
         assert_eq!(in_flight, 1);
         assert_eq!(open_bins, 1);
+    }
+
+    /// Serve one session set `passes` times back to back, each pass shifted
+    /// past the last; returns (ids issued, peak in flight, replies).
+    fn serve_passes(passes: u64) -> (usize, usize, Vec<Outcome>) {
+        // Sessions (arrive, depart, size) that overlap up to four deep.
+        let sessions: Vec<(u64, u64, u64)> = (0..12u64)
+            .map(|i| (i * 3, i * 3 + 4 + i % 7, 1 + i % 4))
+            .collect();
+        let span = 50;
+        let mut events: Vec<(u64, bool, u64, u64)> = Vec::new();
+        for p in 0..passes {
+            for (i, &(a, d, size)) in sessions.iter().enumerate() {
+                let id = p * 100 + i as u64;
+                events.push((p * span + a, true, id, size));
+                events.push((p * span + d, false, id, size));
+            }
+        }
+        // Departures first at equal ticks, as the live replay sends them.
+        events.sort_by_key(|&(at, arrive, id, _)| (at, arrive, id));
+        let mut p = pipeline(1_000);
+        let mut peak = 0;
+        let mut replies = Vec::new();
+        for (at, is_arrival, id, size) in events {
+            let req = if is_arrival {
+                arrive(id, at, size)
+            } else {
+                Request::Depart { id, at }
+            };
+            let outcome = p.handle(&req);
+            assert!(
+                matches!(outcome, Outcome::Placed { .. } | Outcome::Departed),
+                "{outcome:?}"
+            );
+            peak = peak.max(p.in_flight());
+            replies.push(outcome);
+        }
+        assert!(p.ledger.conserved());
+        (p.next_internal as usize, peak, replies)
+    }
+
+    #[test]
+    fn internal_ids_stay_within_peak_in_flight() {
+        let (ids_1, peak_1, replies_1) = serve_passes(1);
+        for passes in [2, 5, 40] {
+            let (ids, peak, replies) = serve_passes(passes);
+            assert!(ids <= peak, "P={passes}: {ids} ids for peak {peak}");
+            assert_eq!((ids, peak), (ids_1, peak_1), "P={passes}");
+            // Every pass gets the replies (and bins) of the first, shifted
+            // by the bins earlier passes opened.
+            let opened = |r: &[Outcome]| {
+                r.iter()
+                    .filter_map(|o| match o {
+                        Outcome::Placed { bin } => Some(bin.0),
+                        _ => None,
+                    })
+                    .max()
+                    .unwrap()
+                    + 1
+            };
+            let per_pass = opened(&replies_1);
+            assert_eq!(opened(&replies), per_pass * passes as u32);
+        }
+    }
+
+    #[test]
+    fn refused_arrivals_give_their_ids_back() {
+        let mut p = pipeline(8);
+        p.handle(&arrive(1, 20, 4));
+        // A timeout drop and an oversized refusal each burn no id.
+        p.handle(&arrive(2, 12, 4));
+        // The refusal names the session, never the internal id it burned.
+        assert_eq!(
+            p.handle(&arrive(3, 20, 11)),
+            Outcome::Rejected {
+                reason: "session 3 (size 11) exceeds capacity 10".to_string()
+            }
+        );
+        assert_eq!(p.next_internal, 2);
+        let ok = p.handle(&arrive(4, 21, 4));
+        assert!(matches!(ok, Outcome::Placed { .. }), "{ok:?}");
+        assert_eq!(p.next_internal, 2);
+        assert!(p.ledger.conserved());
     }
 
     #[test]
